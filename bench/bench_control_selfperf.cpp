@@ -13,15 +13,19 @@
 //   structured — banded Cholesky + Woodbury on the device-major Hessian,
 //                certified to solver tolerance (<= 1e-6 MHz vs base).
 //
+// A railed phase per shape runs the default controller against a cap at
+// half the all-floor draw and one at twice the all-ceiling draw (the
+// cap-unreachable regime) and counts QP convergence and iterations.
+//
 // Shape checks (PASS/FAIL, build-independent): fast is bit-identical to
 // base on every lockstep period, structured stays within 1e-6 MHz, both
-// tiers hit >= 90% of interior periods, the constrained sweep forces
-// fallback without changing bits, and the fleet-sized P=32 config shows
-// >= 2x fast-tier speedup (both sides share the build, so the asymptotic
-// advantage holds in Debug too). Results append to a JSON report (default
-// BENCH_control.json, override with --out <path>) which
-// scripts/run_perf.sh merges into BENCH_perf.json; docs/performance.md
-// describes the format.
+// tiers hit >= 90% of interior periods, every railed period converges, the
+// constrained sweep forces fallback without changing bits, and the
+// fleet-sized P=32 config shows >= 2x fast-tier speedup (both sides share
+// the build, so the asymptotic advantage holds in Debug too). Results
+// append to a JSON report (default BENCH_control.json, override with
+// --out <path>) which scripts/run_perf.sh merges into BENCH_perf.json;
+// docs/performance.md describes the format.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -180,6 +184,51 @@ bool run_constrained_sweep() {
   return ok;
 }
 
+struct RailedResult {
+  std::size_t periods{0};
+  std::size_t converged{0};
+  std::size_t iterations{0};
+  [[nodiscard]] double converged_frac() const {
+    return periods > 0 ? static_cast<double>(converged) /
+                             static_cast<double>(periods)
+                       : 0.0;
+  }
+  [[nodiscard]] double iters_per_step() const {
+    return periods > 0 ? static_cast<double>(iterations) /
+                             static_cast<double>(periods)
+                       : 0.0;
+  }
+};
+
+// Cap-unreachable regime (paper Sec 4.4): the default controller against a
+// cap at half the all-floor draw, then at twice the all-ceiling draw. The
+// clocks rail at their floors, then at their ceilings, and every railed
+// period's optimum is the start vertex with large multipliers on the rows
+// that hold it — the solves that used to run out their iteration budget.
+RailedResult run_railed(const BenchShape& s, int periods) {
+  const auto devices = make_devices(s.devices);
+  const LinearPowerModel plant = make_plant(s.devices);
+  const double floor_w =
+      plant.predict(std::vector<double>(s.devices, devices[0].f_min_mhz)).value;
+  const double ceiling_w =
+      plant.predict(std::vector<double>(s.devices, devices[0].f_max_mhz)).value;
+  RailedResult res;
+  Rng noise(4242);
+  for (const Watts cap : {Watts{0.5 * floor_w}, Watts{2.0 * ceiling_w}}) {
+    MpcController ctl(make_config(s, Mode::kFast), devices, plant, cap);
+    std::vector<double> f(s.devices, 1350.0);
+    for (int k = 0; k < periods; ++k) {
+      const Watts power{plant.predict(f).value + noise.uniform(-15.0, 15.0)};
+      const MpcDecision& d = ctl.step(power, f);
+      ++res.periods;
+      if (d.qp_converged) ++res.converged;
+      res.iterations += d.qp_iterations;
+      f = d.target_freqs_mhz;
+    }
+  }
+  return res;
+}
+
 // One timed closed-loop run: `steps` control periods through a persistent
 // controller (warm buffers, persistent factorisations — the steady state
 // the tiers are built for). Returns periods per second.
@@ -213,6 +262,7 @@ struct Row {
   double fast_sps{0.0};
   double structured_sps{0.0};
   LockstepResult lockstep;
+  RailedResult railed;
   [[nodiscard]] double fast_speedup() const {
     return base_sps > 0.0 ? fast_sps / base_sps : 0.0;
   }
@@ -249,6 +299,7 @@ int main(int argc, char** argv) {
     Row row;
     row.shape = &s;
     row.lockstep = run_lockstep(s, 300);
+    row.railed = run_railed(s, 60);
     // Reps alternate the three modes so they sample the same machine
     // conditions; best-of keeps the least-perturbed rep (noise only ever
     // slows a run down).
@@ -266,7 +317,8 @@ int main(int argc, char** argv) {
   telemetry::Table t("periods/sec, best of " + std::to_string(reps) +
                      " (dim = devices x M)");
   t.set_header({"config", "dim", "base/s", "fast/s", "fast x", "struct/s",
-                "struct x", "hit fast", "hit struct"});
+                "struct x", "hit fast", "hit struct", "railed conv",
+                "railed it"});
   for (const Row& r : rows) {
     t.add_row({r.shape->name,
                std::to_string(r.shape->devices * r.shape->m),
@@ -276,7 +328,9 @@ int main(int argc, char** argv) {
                telemetry::fmt(r.structured_sps / 1e3, 1) + "k",
                telemetry::fmt(r.structured_speedup(), 2) + "x",
                telemetry::fmt(r.lockstep.fast_hit_rate, 2),
-               telemetry::fmt(r.lockstep.structured_hit_rate, 2)});
+               telemetry::fmt(r.lockstep.structured_hit_rate, 2),
+               telemetry::fmt(r.railed.converged_frac(), 2),
+               telemetry::fmt(r.railed.iters_per_step(), 1)});
   }
   t.print();
 
@@ -287,6 +341,7 @@ int main(int argc, char** argv) {
   bool all_ok = true;
   double worst_fast_speedup = 1e300;
   double p32_fleet_speedup = 0.0;
+  RailedResult railed_all;  // pooled over every shape
   for (const Row& r : rows) {
     worst_fast_speedup = std::min(worst_fast_speedup, r.fast_speedup());
     if (std::string(r.shape->name) == "p32-fleet") {
@@ -305,7 +360,15 @@ int main(int argc, char** argv) {
         "%.2f)\n",
         hits ? "PASS" : "FAIL", r.shape->name, r.lockstep.fast_hit_rate,
         r.lockstep.structured_hit_rate);
-    all_ok = all_ok && bitwise && tol && hits;
+    const bool railed = r.railed.converged_frac() == 1.0;
+    std::printf(
+        "  [%s] %s: railed periods converge (%.2f, %.1f iterations/step)\n",
+        railed ? "PASS" : "FAIL", r.shape->name, r.railed.converged_frac(),
+        r.railed.iters_per_step());
+    all_ok = all_ok && bitwise && tol && hits && railed;
+    railed_all.periods += r.railed.periods;
+    railed_all.converged += r.railed.converged;
+    railed_all.iterations += r.railed.iterations;
   }
   const bool constrained_ok = run_constrained_sweep();
   std::printf(
@@ -326,7 +389,7 @@ int main(int argc, char** argv) {
       << ",\n    \"configs\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    char buf[512];
+    char buf[768];
     std::snprintf(
         buf, sizeof(buf),
         "      {\"name\": \"%s\", \"devices\": %zu, "
@@ -334,19 +397,25 @@ int main(int argc, char** argv) {
         "\"dim\": %zu, \"base_steps_per_s\": %.0f, "
         "\"fast_steps_per_s\": %.0f, \"fast_speedup\": %.3f, "
         "\"structured_steps_per_s\": %.0f, \"structured_speedup\": %.3f, "
-        "\"fast_hit_rate\": %.3f, \"structured_hit_rate\": %.3f}%s\n",
+        "\"fast_hit_rate\": %.3f, \"structured_hit_rate\": %.3f, "
+        "\"railed_converged_frac\": %.6f, \"railed_iters_per_step\": %.3f}"
+        "%s\n",
         r.shape->name, r.shape->devices, r.shape->m, r.shape->p,
         r.shape->devices * r.shape->m, r.base_sps, r.fast_sps,
         r.fast_speedup(), r.structured_sps, r.structured_speedup(),
         r.lockstep.fast_hit_rate, r.lockstep.structured_hit_rate,
+        r.railed.converged_frac(), r.railed.iters_per_step(),
         i + 1 < std::size(rows) ? "," : "");
     out << buf;
   }
-  char tail[160];
+  char tail[256];
   std::snprintf(tail, sizeof(tail),
                 "    ],\n    \"worst_speedup\": %.3f,\n"
-                "    \"p32_fleet_speedup\": %.3f\n  }\n}\n",
-                worst_fast_speedup, p32_fleet_speedup);
+                "    \"p32_fleet_speedup\": %.3f,\n"
+                "    \"railed_converged_frac\": %.6f,\n"
+                "    \"railed_iters_per_step\": %.3f\n  }\n}\n",
+                worst_fast_speedup, p32_fleet_speedup,
+                railed_all.converged_frac(), railed_all.iters_per_step());
   out << tail;
   std::printf("  [perf] %s\n", out_path.c_str());
   return all_ok ? 0 : 1;

@@ -31,9 +31,10 @@ ctest --test-dir build -L fleet --output-on-failure
 # Release perf smoke: the allocation-free control-solve tests plus short
 # pipeline and control-solve self-perf runs. Gates on the reports' shape
 # (speedup fields present), on the pooled hot path not regressing below the
-# legacy pipeline, and on the tiered control solve not regressing below the
-# dense active-set path; the full-length numbers live in BENCH_perf.json
-# via scripts/run_perf.sh.
+# legacy pipeline, on the tiered control solve not regressing below the
+# dense active-set path, and on every railed (cap-unreachable) control
+# period converging; the full-length numbers live in BENCH_perf.json via
+# scripts/run_perf.sh.
 cmake --preset release >/dev/null
 cmake --build build-release -j"$(nproc)" >/dev/null
 ctest --test-dir build-release -L perf --output-on-failure
@@ -53,6 +54,8 @@ jq -e '.control_selfperf.configs | length > 0 and all(.fast_speedup != null)' \
   || { echo "FAIL: control_selfperf report missing speedup fields" >&2; exit 1; }
 jq -e '.control_selfperf.worst_speedup >= 1.0' /tmp/check_control.json >/dev/null \
   || { echo "FAIL: fast-path control solve slower than dense active-set (worst_speedup < 1.0)" >&2; exit 1; }
+jq -e '.control_selfperf.railed_converged_frac == 1' /tmp/check_control.json >/dev/null \
+  || { echo "FAIL: railed control periods ended unconverged (railed_converged_frac < 1)" >&2; exit 1; }
 ./build-release/bench/bench_fleet_selfperf --reps 2 --out /tmp/check_fleet.json
 jq -e '.fleet_selfperf.topologies | length > 0 and all(.deterministic)' \
   /tmp/check_fleet.json >/dev/null \

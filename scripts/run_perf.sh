@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Performance report: builds Release, runs the engine, pipeline,
-# control-solve and fleet self-perf microbenchmarks, then times one parallel sweep
+# control-solve (including its railed, cap-unreachable phase) and fleet
+# self-perf microbenchmarks, then times one parallel sweep
 # (bench_fig6_setpoint_sweep) at --jobs 1 vs --jobs $(nproc) and verifies
 # the outputs are byte-identical. Everything lands in BENCH_perf.json; the
 # format is documented in docs/performance.md.

@@ -168,6 +168,14 @@ class MpcController {
   [[nodiscard]] const MpcDecision& step(
       Watts measured_power, const std::vector<double>& current_freqs_mhz);
 
+  /// The QP the last step() assembled and the feasible start point it was
+  /// solved from (decision layout [i*n + j]). Overwritten by the next
+  /// step() or linear_gains() call.
+  [[nodiscard]] const QpProblem& last_qp() const { return ws_qp_; }
+  [[nodiscard]] const linalg::Vector& last_qp_start() const {
+    return ws_x0_;
+  }
+
   /// Linear gains of the *unconstrained* optimum at the current weights
   /// (for pole/stability analysis).
   [[nodiscard]] MpcLinearGains linear_gains() const;

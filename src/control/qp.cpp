@@ -33,6 +33,8 @@ void QpWorkspace::ensure(std::size_t n, std::size_t m) {
   grad_.resize(cap_n_);
   chol_.resize(cap_n_ * cap_n_);
   active_.resize(cap_m_);
+  span_.resize(cap_n_ * cap_n_);
+  span_pivot_.resize(cap_n_);
   w_.reserve(cap_m_);
   active_set_.reserve(cap_m_);
 }
@@ -87,6 +89,67 @@ void QpSolver::kkt_solve(const QpProblem& problem, QpWorkspace& ws) const {
   linalg::lu_factor_inplace(kkt, dim, stride, ws.piv_.data());
   linalg::lu_solve_inplace(kkt, dim, stride, ws.piv_.data(), ws.rhs_.data(),
                            ws.sol_.data());
+}
+
+// Stationarity is judged relative to the iterate's scale: MPC problems work
+// in MHz (x ~ 1e2..1e3), unit-test problems near 1. The rank test runs only
+// when the norm test fails, so it can turn a step the norm test calls
+// non-stationary into a stationary one, never the reverse: every solve that
+// converges on the norm test alone keeps its bits.
+bool QpSolver::stationary(const QpProblem& problem, QpWorkspace& ws) const {
+  const std::size_t n = problem.g.size();
+  const double stationary_tol =
+      options_.stationarity_tolerance * std::max(1.0, ws.x_.norm_inf());
+  double p_norm = 0.0;
+  for (std::size_t r = 0; r < n; ++r) {
+    p_norm = std::max(p_norm, std::abs(ws.sol_[r]));
+  }
+  return p_norm <= stationary_tol || working_rows_span(problem, ws);
+}
+
+// Forward elimination of the working rows into ws.span_, one normalised
+// pivot row per independent direction, stopping at the n-th. A row counts
+// as independent only when its reduced residual keeps more than 1e-9 of its
+// own magnitude, so rounding noise on a dependent row (the +- pair of a
+// collapsed box) never inflates the rank; a near-dependent set falls back
+// to the norm test.
+bool QpSolver::working_rows_span(const QpProblem& problem,
+                                 QpWorkspace& ws) const {
+  const std::size_t n = problem.g.size();
+  if (ws.w_.size() < n) return false;
+  double* const basis = ws.span_.data();
+  std::size_t* const pivot = ws.span_pivot_.data();
+  std::size_t rank = 0;
+  for (const std::size_t i : ws.w_) {
+    double* const v = basis + rank * n;
+    const auto row = problem.c.row(i);
+    double scale = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      v[j] = row[j];
+      scale = std::max(scale, std::abs(row[j]));
+    }
+    for (std::size_t b = 0; b < rank; ++b) {
+      const double f = v[pivot[b]];
+      if (f == 0.0) continue;
+      const double* const u = basis + b * n;
+      for (std::size_t j = 0; j < n; ++j) v[j] -= f * u[j];
+    }
+    std::size_t jmax = 0;
+    double vmax = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (std::abs(v[j]) > vmax) {
+        vmax = std::abs(v[j]);
+        jmax = j;
+      }
+    }
+    if (vmax <= 1e-9 * scale) continue;  // dependent on the rows so far
+    const double inv = 1.0 / v[jmax];
+    for (std::size_t j = 0; j < n; ++j) v[j] *= inv;
+    v[jmax] = 1.0;  // exact, so later rows eliminate this column to 0.0
+    pivot[rank] = jmax;
+    if (++rank == n) return true;
+  }
+  return false;
 }
 
 // The cold loop, started at an interior x0 whose unconstrained optimum is
@@ -278,13 +341,7 @@ void QpSolver::solve(const QpProblem& problem, const linalg::Vector& x0,
     if (!ws.w_.empty()) {
       kkt_solve(problem, ws);
       const std::size_t k = ws.w_.size();
-      const double stationary_tol =
-          options_.stationarity_tolerance * std::max(1.0, ws.x_.norm_inf());
-      double p_norm = 0.0;
-      for (std::size_t r = 0; r < n; ++r) {
-        p_norm = std::max(p_norm, std::abs(ws.sol_[r]));
-      }
-      bool certified = p_norm <= stationary_tol;
+      bool certified = stationary(problem, ws);
       for (std::size_t a = 0; a < k && certified; ++a) {
         certified = ws.sol_[n + a] >= -tol;
       }
@@ -318,15 +375,7 @@ void QpSolver::solve(const QpProblem& problem, const linalg::Vector& x0,
     const std::size_t k = ws.w_.size();
     kkt_solve(problem, ws);
 
-    // Stationarity is judged relative to the iterate's scale: MPC problems
-    // work in MHz (x ~ 1e2..1e3), unit-test problems near 1.
-    const double stationary_tol =
-        options_.stationarity_tolerance * std::max(1.0, ws.x_.norm_inf());
-    double p_norm = 0.0;
-    for (std::size_t r = 0; r < n; ++r) {
-      p_norm = std::max(p_norm, std::abs(ws.sol_[r]));
-    }
-    if (p_norm <= stationary_tol) {
+    if (stationary(problem, ws)) {
       // Stationary on the working set: check multipliers.
       double most_negative = -tol;
       std::size_t drop = m;

@@ -109,6 +109,8 @@ class QpWorkspace {
   std::vector<double> chol_;  // n*n SPD-check factor
   std::vector<char> active_;  // m flags
   std::vector<std::size_t> w_;  // working set
+  std::vector<double> span_;    // n*n row-echelon basis of the working rows
+  std::vector<std::size_t> span_pivot_;  // pivot column of each basis row
   // Persistent fast-path factorisation: an LU of H keyed by a bitwise
   // snapshot of the Hessian. Valid across solves (and periods) as long as
   // H's bits do not change; the SPD check is skipped on a snapshot match
@@ -128,10 +130,13 @@ class QpSolver {
     std::size_t max_iterations{200};
     /// Feasibility / multiplier-sign tolerance.
     double tolerance{1e-9};
-    /// Step-norm threshold below which the iterate counts as stationary on
-    /// its working set. Must sit well above the residual the KKT
-    /// regularisation induces (~1e-10 * gradient scale), or the solver
-    /// micro-steps forever instead of checking multipliers.
+    /// Step-norm threshold, relative to max(1, |x|_inf), below which the
+    /// iterate counts as stationary on its working set. Contract: a
+    /// working set whose rows pin every variable (rank n; rank, not row
+    /// count) is stationary whatever the computed step, because its exact
+    /// step is zero and the computed one is only the KKT regularisation's
+    /// leak, C_w p = 1e-10 * lambda, which grows with the multipliers. The
+    /// threshold judges rank-deficient working sets only.
     double stationarity_tolerance{1e-7};
     /// Enables the analytic unconstrained fast path (see the header
     /// comment). Certify-or-fallback: disabling it never changes results,
@@ -169,6 +174,15 @@ class QpSolver {
   /// One equality-constrained KKT solve on the working set ws.w_:
   /// fills ws.sol_ with [p; lambda] for the system at iterate ws.x_.
   void kkt_solve(const QpProblem& problem, QpWorkspace& ws) const;
+
+  /// Stationarity of the step kkt_solve left in ws.sol_: its norm is within
+  /// the scale-relative tolerance, or the working rows span all n variables.
+  [[nodiscard]] bool stationary(const QpProblem& problem,
+                                QpWorkspace& ws) const;
+
+  /// True when the working rows ws.w_ have numerical rank n.
+  [[nodiscard]] bool working_rows_span(const QpProblem& problem,
+                                       QpWorkspace& ws) const;
 
   /// Analytic unconstrained tier: Newton step from the persistent H
   /// factorisation, accepted only when it replicates what the cold

@@ -320,6 +320,7 @@ FlightRecorder::RunHealth& FlightRecorder::health_for(
     h.power_err_hist = nullptr;
     h.qp_iter_hist = nullptr;
     for (Counter*& c : h.path_counters) c = nullptr;
+    h.nonconverged_counter = nullptr;
     h.floor_periods_counter = nullptr;
     h.ceiling_periods_counter = nullptr;
     h.floor_fraction_gauge = nullptr;
@@ -449,6 +450,15 @@ void FlightRecorder::finalize(FlightRecord& prev, const FlightRecord* next) {
           {{"policy", prev.policy}, {"path", kSolverPathNames[path_idx]}});
     }
     h.path_counters[path_idx]->inc();
+    if (!prev.mpc.qp_converged) {
+      if (h.nonconverged_counter == nullptr) {
+        h.nonconverged_counter = &registry.counter(
+            metric::kCtlQpNonconverged,
+            "Acted periods whose QP solve ended unconverged",
+            {{"policy", prev.policy}});
+      }
+      h.nonconverged_counter->inc();
+    }
 
     ++h.acted_periods;
     bool floor_any = false;

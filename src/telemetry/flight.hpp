@@ -212,6 +212,7 @@ class FlightRecorder {
     /// capgpu_ctl_solver_path_total, one handle per tier in the order
     /// cache / structured / warm / fast / cold (see solver_path_index).
     Counter* path_counters[5]{};
+    Counter* nonconverged_counter{nullptr};
     Counter* floor_periods_counter{nullptr};
     Counter* ceiling_periods_counter{nullptr};
     Gauge* floor_fraction_gauge{nullptr};

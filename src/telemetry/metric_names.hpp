@@ -121,6 +121,8 @@ inline constexpr const char* kCtlBindingFraction =
 inline constexpr const char* kCtlQpIterations = "capgpu_ctl_qp_iterations";
 inline constexpr const char* kCtlSolverPath =
     "capgpu_ctl_solver_path_total";
+inline constexpr const char* kCtlQpNonconverged =
+    "capgpu_ctl_qp_nonconverged_total";
 inline constexpr const char* kCtlFallbackTransitions =
     "capgpu_ctl_fallback_transitions_total";
 

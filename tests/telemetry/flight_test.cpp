@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/json.hpp"
 #include "telemetry/metric_names.hpp"
@@ -252,6 +255,41 @@ TEST(FlightRecorder, BindingFractionsTrackActedPeriods) {
                    {{"policy", "capgpu"}, {"constraint", "floor"}})
           .value(),
       2.0);
+}
+
+TEST(FlightRecorder, NonconvergedSolvesAreCountedLazily) {
+  auto run = [](MetricsRegistry& registry, const std::vector<bool>& converged) {
+    MetricsRegistry::ScopedCurrent metrics_guard(registry);
+    FlightRecorder recorder;
+    recorder.set_enabled(true);
+    for (std::size_t k = 0; k < converged.size(); ++k) {
+      FlightRecord rec;
+      rec.pid = 1;
+      rec.period = k;
+      rec.policy = "capgpu";
+      rec.mpc.present = true;
+      rec.mpc.qp_converged = converged[k];
+      recorder.record(std::move(rec));
+    }
+    recorder.finish();
+  };
+  // Always converged: the family is never registered, so the export keeps
+  // the bytes of a run that predates the counter.
+  MetricsRegistry clean;
+  run(clean, {true, true, true});
+  const auto names = clean.metric_names();
+  EXPECT_EQ(std::count(names.begin(), names.end(),
+                       std::string(metric::kCtlQpNonconverged)),
+            0);
+  // Two unconverged periods finalized against a successor; the trailing
+  // record skips health derivation, so its failure is not counted.
+  MetricsRegistry railed;
+  run(railed, {false, true, false, false});
+  EXPECT_DOUBLE_EQ(railed
+                       .counter(metric::kCtlQpNonconverged, "",
+                                {{"policy", "capgpu"}})
+                       .value(),
+                   2.0);
 }
 
 TEST(FlightRecorder, FailsafeTransitionsAreCounted) {
