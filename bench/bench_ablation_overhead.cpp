@@ -45,27 +45,6 @@ void BM_MpcStep(benchmark::State& state) {
 BENCHMARK(BM_MpcStep)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_MpcStepCached(benchmark::State& state) {
-  // Same workload as BM_MpcStep but with the explicit-MPC region cache
-  // (paper Sec 4.3's multi-parametric offline/online split): steady-state
-  // steps reduce to one pre-factored KKT solve.
-  const auto n_gpus = static_cast<std::size_t>(state.range(0));
-  control::MpcController mpc = make_mpc(n_gpus);
-  mpc.enable_solve_cache(true);
-  std::vector<double> freqs(1 + n_gpus, 800.0);
-  freqs[0] = 1600.0;
-  Rng rng(7);
-  for (auto _ : state) {
-    const Watts p{rng.uniform(700.0, 1100.0)};
-    benchmark::DoNotOptimize(mpc.step(p, freqs));
-  }
-  state.SetLabel(std::to_string(n_gpus) + " GPUs, cached (" +
-                 std::to_string(mpc.cache_stats().hits) + " hits / " +
-                 std::to_string(mpc.cache_stats().misses) + " misses)");
-}
-BENCHMARK(BM_MpcStepCached)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
-    ->Unit(benchmark::kMicrosecond);
-
 void BM_MpcStepSaturated(benchmark::State& state) {
   // Worst case for the active-set method: every device pinned at a bound.
   const auto n_gpus = static_cast<std::size_t>(state.range(0));

@@ -1,34 +1,30 @@
-// Control-solve self-perf: the two-tier fast path (analytic unconstrained
-// step + structured banded/Woodbury solve) vs the plain dense active-set
-// solver, measured in control periods solved per wall-clock second across
-// paper-sized through fleet-sized horizons.
+// Control-solve self-perf: the analytic fast path vs the plain dense
+// active-set solver, measured in control periods solved per wall-clock
+// second across paper-sized through fleet-sized horizons.
 //
-// Three modes run the same closed-loop regime (cap reachable mid-range,
+// Two modes run the same closed-loop regime (cap reachable mid-range,
 // measurement noise keeping the error alive, so every period is a genuine
 // interior solve):
-//   base       — qp_fast_path off, structured_solve off: every period runs
-//                the dense active-set iteration (two KKT factorisations).
-//   fast       — the default controller: persistent-factorisation analytic
-//                step, certify-or-fallback, bitwise equal to base.
-//   structured — banded Cholesky + Woodbury on the device-major Hessian,
-//                certified to solver tolerance (<= 1e-6 MHz vs base).
+//   base — qp_fast_path off: every period runs the dense active-set
+//          iteration (two KKT factorisations).
+//   fast — the default controller: persistent-factorisation analytic step,
+//          certify-or-fallback, bitwise equal to base.
 //
 // A railed phase per shape runs the default controller against a cap at
 // half the all-floor draw and one at twice the all-ceiling draw (the
 // cap-unreachable regime) and counts QP convergence and iterations.
 //
 // Shape checks (PASS/FAIL, build-independent): fast is bit-identical to
-// base on every lockstep period, structured stays within 1e-6 MHz, both
-// tiers hit >= 90% of interior periods, every railed period converges, the
-// constrained sweep forces fallback without changing bits, and the
-// fleet-sized P=32 config shows >= 2x fast-tier speedup (both sides share
-// the build, so the asymptotic advantage holds in Debug too). Results
+// base on every lockstep period and hits >= 90% of interior periods, every
+// railed period converges, the constrained sweep forces fallback without
+// changing bits, and the fleet-sized P=32 config shows >= 2x fast-tier
+// speedup (both sides share the build, so the asymptotic advantage holds
+// in Debug too). Results
 // append to a JSON report (default BENCH_control.json, override with
 // --out <path>) which scripts/run_perf.sh merges into BENCH_perf.json;
 // docs/performance.md describes the format.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -51,8 +47,6 @@ using control::MpcDecision;
 
 namespace {
 
-constexpr double kStructTolMhz = 1e-6;  // replay's structured cross-check
-
 struct BenchShape {
   const char* name;
   std::size_t devices;
@@ -60,8 +54,8 @@ struct BenchShape {
   std::size_t p;  // prediction horizon
 };
 
-// Paper size first, then the fleet-representative shapes the structured
-// tier exists for (dim = devices * M decision variables).
+// Paper size first, then fleet-representative shapes (dim = devices * M
+// decision variables).
 constexpr BenchShape kShapes[] = {
     {"paper", 4, 2, 8},        // dim 8, the testbed configuration
     {"p32", 4, 2, 32},         // long horizon, small fleet
@@ -70,7 +64,7 @@ constexpr BenchShape kShapes[] = {
     {"p64-fleet", 16, 8, 64},  // dim 128
 };
 
-enum class Mode { kBase, kFast, kStructured };
+enum class Mode { kBase, kFast };
 
 std::vector<DeviceRange> make_devices(std::size_t n) {
   return std::vector<DeviceRange>(n,
@@ -94,34 +88,28 @@ MpcConfig make_config(const BenchShape& s, Mode mode) {
   MpcConfig cfg;
   cfg.prediction_horizon = s.p;
   cfg.control_horizon = s.m;
-  cfg.qp_fast_path = mode != Mode::kBase;
-  cfg.structured_solve = mode == Mode::kStructured;
+  cfg.qp_fast_path = mode == Mode::kFast;
   return cfg;
 }
 
 struct LockstepResult {
   bool fast_bitwise{true};
-  bool structured_within_tol{true};
   double fast_hit_rate{0.0};
-  double structured_hit_rate{0.0};
 };
 
-// Drives all three controllers from the base controller's trajectory with
-// measurement noise, so per-period disagreement is exactly the tier's
-// doing. Fast must match base bit for bit; structured within tolerance.
+// Drives both controllers from the base controller's trajectory with
+// measurement noise, so per-period disagreement is exactly the fast
+// path's doing. Fast must match base bit for bit.
 LockstepResult run_lockstep(const BenchShape& s, int periods) {
   const auto devices = make_devices(s.devices);
   const LinearPowerModel plant = make_plant(s.devices);
   const Watts cap = interior_cap(plant, s.devices);
   MpcController base(make_config(s, Mode::kBase), devices, plant, cap);
   MpcController fast(make_config(s, Mode::kFast), devices, plant, cap);
-  MpcController structured(make_config(s, Mode::kStructured), devices, plant,
-                           cap);
   Rng noise(1234);
   std::vector<double> f(s.devices, 1000.0);
   LockstepResult res;
   std::size_t fast_hits = 0;
-  std::size_t structured_hits = 0;
   for (int k = 0; k < periods; ++k) {
     const Watts power{plant.predict(f).value + noise.uniform(-15.0, 15.0)};
     const MpcDecision& b = base.step(power, f);
@@ -131,25 +119,15 @@ LockstepResult run_lockstep(const BenchShape& s, int periods) {
     for (std::size_t j = 0; j < s.devices; ++j) {
       if (ft.target_freqs_mhz[j] != targets[j]) res.fast_bitwise = false;
     }
-    const MpcDecision& st = structured.step(power, f);
-    if (st.structured_hit) ++structured_hits;
-    for (std::size_t j = 0; j < s.devices; ++j) {
-      const double diff = std::abs(st.target_freqs_mhz[j] - targets[j]);
-      if (st.structured_hit ? diff > kStructTolMhz : diff != 0.0) {
-        res.structured_within_tol = false;
-      }
-    }
     f = targets;
   }
   res.fast_hit_rate =
       static_cast<double>(fast_hits) / static_cast<double>(periods);
-  res.structured_hit_rate =
-      static_cast<double>(structured_hits) / static_cast<double>(periods);
   return res;
 }
 
 // Constrained sweep: frequency floors near f_max with the cap far below
-// the floor power — every period rails, neither shortcut may certify, and
+// the floor power — every period rails, the fast path may not certify, and
 // the commands must stay bit-identical to the plain solver.
 bool run_constrained_sweep() {
   const BenchShape s{"constrained", 4, 2, 8};
@@ -158,12 +136,9 @@ bool run_constrained_sweep() {
   const Watts cap{600.0};  // floor power ~300 + 0.38*1880 >> 600
   MpcController base(make_config(s, Mode::kBase), devices, plant, cap);
   MpcController fast(make_config(s, Mode::kFast), devices, plant, cap);
-  MpcController structured(make_config(s, Mode::kStructured), devices, plant,
-                           cap);
   for (std::size_t j = 0; j < s.devices; ++j) {
     if (!base.set_min_frequency_override(j, 1880.0)) return false;
     if (!fast.set_min_frequency_override(j, 1880.0)) return false;
-    if (!structured.set_min_frequency_override(j, 1880.0)) return false;
   }
   Rng noise(77);
   std::vector<double> f(s.devices, 1900.0);
@@ -173,11 +148,9 @@ bool run_constrained_sweep() {
     const MpcDecision& b = base.step(power, f);
     const std::vector<double> targets = b.target_freqs_mhz;
     const MpcDecision& ft = fast.step(power, f);
-    const MpcDecision& st = structured.step(power, f);
-    if (ft.fast_path_hit || st.structured_hit) ok = false;
+    if (ft.fast_path_hit) ok = false;
     for (std::size_t j = 0; j < s.devices; ++j) {
       if (ft.target_freqs_mhz[j] != targets[j]) ok = false;
-      if (st.target_freqs_mhz[j] != targets[j]) ok = false;
     }
     f = targets;
   }
@@ -260,14 +233,10 @@ struct Row {
   const BenchShape* shape{nullptr};
   double base_sps{0.0};
   double fast_sps{0.0};
-  double structured_sps{0.0};
   LockstepResult lockstep;
   RailedResult railed;
   [[nodiscard]] double fast_speedup() const {
     return base_sps > 0.0 ? fast_sps / base_sps : 0.0;
-  }
-  [[nodiscard]] double structured_speedup() const {
-    return base_sps > 0.0 ? structured_sps / base_sps : 0.0;
   }
 };
 
@@ -289,7 +258,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   bench::print_banner(
-      "Control self-perf: two-tier fast path vs dense active-set solve",
+      "Control self-perf: analytic fast path vs dense active-set solve",
       "control periods solved per second, paper (N=4, M=2, P=8) to fleet "
       "sizes");
 
@@ -300,7 +269,7 @@ int main(int argc, char** argv) {
     row.shape = &s;
     row.lockstep = run_lockstep(s, 300);
     row.railed = run_railed(s, 60);
-    // Reps alternate the three modes so they sample the same machine
+    // Reps alternate the two modes so they sample the same machine
     // conditions; best-of keeps the least-perturbed rep (noise only ever
     // slows a run down).
     for (int r = 0; r < reps; ++r) {
@@ -308,27 +277,21 @@ int main(int argc, char** argv) {
                                                       kTimedSteps));
       row.fast_sps = std::max(row.fast_sps, run_timed(s, Mode::kFast,
                                                       kTimedSteps));
-      row.structured_sps = std::max(
-          row.structured_sps, run_timed(s, Mode::kStructured, kTimedSteps));
     }
     rows.push_back(row);
   }
 
   telemetry::Table t("periods/sec, best of " + std::to_string(reps) +
                      " (dim = devices x M)");
-  t.set_header({"config", "dim", "base/s", "fast/s", "fast x", "struct/s",
-                "struct x", "hit fast", "hit struct", "railed conv",
-                "railed it"});
+  t.set_header({"config", "dim", "base/s", "fast/s", "fast x", "hit fast",
+                "railed conv", "railed it"});
   for (const Row& r : rows) {
     t.add_row({r.shape->name,
                std::to_string(r.shape->devices * r.shape->m),
                telemetry::fmt(r.base_sps / 1e3, 1) + "k",
                telemetry::fmt(r.fast_sps / 1e3, 1) + "k",
                telemetry::fmt(r.fast_speedup(), 2) + "x",
-               telemetry::fmt(r.structured_sps / 1e3, 1) + "k",
-               telemetry::fmt(r.structured_speedup(), 2) + "x",
                telemetry::fmt(r.lockstep.fast_hit_rate, 2),
-               telemetry::fmt(r.lockstep.structured_hit_rate, 2),
                telemetry::fmt(r.railed.converged_frac(), 2),
                telemetry::fmt(r.railed.iters_per_step(), 1)});
   }
@@ -348,31 +311,25 @@ int main(int argc, char** argv) {
       p32_fleet_speedup = r.fast_speedup();
     }
     const bool bitwise = r.lockstep.fast_bitwise;
-    const bool tol = r.lockstep.structured_within_tol;
-    const bool hits = r.lockstep.fast_hit_rate >= 0.9 &&
-                      r.lockstep.structured_hit_rate >= 0.9;
+    const bool hits = r.lockstep.fast_hit_rate >= 0.9;
     std::printf("  [%s] %s: fast bitwise-identical to base\n",
                 bitwise ? "PASS" : "FAIL", r.shape->name);
-    std::printf("  [%s] %s: structured within %.0e MHz of base\n",
-                tol ? "PASS" : "FAIL", r.shape->name, kStructTolMhz);
-    std::printf(
-        "  [%s] %s: interior hit rates >= 0.90 (fast %.2f, structured "
-        "%.2f)\n",
-        hits ? "PASS" : "FAIL", r.shape->name, r.lockstep.fast_hit_rate,
-        r.lockstep.structured_hit_rate);
+    std::printf("  [%s] %s: interior fast hit rate %.2f (target >= 0.90)\n",
+                hits ? "PASS" : "FAIL", r.shape->name,
+                r.lockstep.fast_hit_rate);
     const bool railed = r.railed.converged_frac() == 1.0;
     std::printf(
         "  [%s] %s: railed periods converge (%.2f, %.1f iterations/step)\n",
         railed ? "PASS" : "FAIL", r.shape->name, r.railed.converged_frac(),
         r.railed.iters_per_step());
-    all_ok = all_ok && bitwise && tol && hits && railed;
+    all_ok = all_ok && bitwise && hits && railed;
     railed_all.periods += r.railed.periods;
     railed_all.converged += r.railed.converged;
     railed_all.iterations += r.railed.iterations;
   }
   const bool constrained_ok = run_constrained_sweep();
   std::printf(
-      "  [%s] constrained sweep: both tiers fall back, commands "
+      "  [%s] constrained sweep: fast path falls back, commands "
       "bit-identical\n",
       constrained_ok ? "PASS" : "FAIL");
   const bool fleet_ok = p32_fleet_speedup >= 2.0;
@@ -396,14 +353,12 @@ int main(int argc, char** argv) {
         "\"control_horizon\": %zu, \"prediction_horizon\": %zu, "
         "\"dim\": %zu, \"base_steps_per_s\": %.0f, "
         "\"fast_steps_per_s\": %.0f, \"fast_speedup\": %.3f, "
-        "\"structured_steps_per_s\": %.0f, \"structured_speedup\": %.3f, "
-        "\"fast_hit_rate\": %.3f, \"structured_hit_rate\": %.3f, "
+        "\"fast_hit_rate\": %.3f, "
         "\"railed_converged_frac\": %.6f, \"railed_iters_per_step\": %.3f}"
         "%s\n",
         r.shape->name, r.shape->devices, r.shape->m, r.shape->p,
         r.shape->devices * r.shape->m, r.base_sps, r.fast_sps,
-        r.fast_speedup(), r.structured_sps, r.structured_speedup(),
-        r.lockstep.fast_hit_rate, r.lockstep.structured_hit_rate,
+        r.fast_speedup(), r.lockstep.fast_hit_rate,
         r.railed.converged_frac(), r.railed.iters_per_step(),
         i + 1 < std::size(rows) ? "," : "");
     out << buf;

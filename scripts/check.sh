@@ -28,6 +28,17 @@ ctest --test-dir build -L chaos --output-on-failure
 # layouts, scorecard stable across --shards).
 ctest --test-dir build -L fleet --output-on-failure
 
+# End-to-end benchmark smoke: perfbench/ builds src/ as its own CMake
+# project (.bench_build/perfbench), so ctest never compiles it. Run every
+# workload for one second and require a correct result with no failed
+# operation on the last line of stdout.
+for w in testbed-sweep budget-slash-8gpu fleet-brownout-256; do
+  result=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 \
+             --trace 0 | tail -n 1)
+  jq -e '.correct == true and .failed == 0' <<<"$result" >/dev/null \
+    || { echo "FAIL: perfbench $w: $result" >&2; exit 1; }
+done
+
 # Release perf smoke: the allocation-free control-solve tests plus short
 # pipeline and control-solve self-perf runs. Gates on the reports' shape
 # (speedup fields present), on the pooled hot path not regressing below the

@@ -4,46 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "linalg/banded.hpp"
 #include "linalg/cholesky.hpp"
-#include "linalg/inplace.hpp"
-
-namespace capgpu::control {
-
-/// One explicit-MPC region: an active set together with the pre-factored
-/// KKT system [H C_W^T; C_W -eps*I] for that working set. The factor is
-/// held in a flat buffer so later steps in the same region reduce to one
-/// allocation-free triangular solve.
-struct MpcController::CachedRegion {
-  std::vector<std::size_t> active_set;  // sorted row indices
-  std::size_t dim{0};                   // n + active_set.size()
-  std::vector<double> factor;           // LU of the KKT matrix, stride dim
-  std::vector<std::size_t> piv;
-
-  CachedRegion(const QpProblem& qp, std::vector<std::size_t> rows)
-      : active_set(std::move(rows)) {
-    const std::size_t n = qp.g.size();
-    const std::size_t k = active_set.size();
-    dim = n + k;
-    factor.assign(dim * dim, 0.0);
-    piv.resize(dim);
-    for (std::size_t r = 0; r < n; ++r) {
-      const auto hr = qp.h.row(r);
-      for (std::size_t c = 0; c < n; ++c) factor[r * dim + c] = hr[c];
-    }
-    for (std::size_t a = 0; a < k; ++a) {
-      const auto row = qp.c.row(active_set[a]);
-      for (std::size_t c = 0; c < n; ++c) {
-        factor[(n + a) * dim + c] = row[c];
-        factor[c * dim + (n + a)] = row[c];
-      }
-      factor[(n + a) * dim + (n + a)] = -1e-10;
-    }
-    linalg::lu_factor_inplace(factor.data(), dim, dim, piv.data());
-  }
-};
-
-}  // namespace capgpu::control
 
 namespace capgpu::control {
 
@@ -79,8 +40,6 @@ MpcController::MpcController(MpcConfig config, std::vector<DeviceRange> devices,
   solver_ = QpSolver(qp_opts);
   const std::size_t dim = devices_.size() * config_.control_horizon;
   prev_active_.reserve(2 * dim);
-  cache_rhs_.resize(3 * dim);  // largest KKT system: dim vars + 2*dim rows
-  cache_sol_.resize(3 * dim);
 }
 
 void MpcController::set_model(LinearPowerModel model) {
@@ -210,7 +169,7 @@ void MpcController::assemble_into(double error_watts,
   // instead of P rank-1 updates the loop folds each distinct mi into one:
   // count * 2Q t t^T into H and 2Q (sum of e_i) t into g. Equal to the
   // step-by-step accumulation in exact arithmetic, and it makes assembly
-  // cost ~independent of P — the point of the long-horizon solve tier.
+  // cost ~independent of P.
   for (std::size_t mi = 0; mi < m_horizon; ++mi) {
     const std::size_t i_lo = mi + 1;
     const std::size_t i_hi = (mi + 1 == m_horizon) ? p_horizon : mi + 1;
@@ -280,216 +239,6 @@ void MpcController::assemble_into(double error_watts,
   }
 }
 
-// Structure the dense assembly hides: permuting to device-major order
-// u'[j*M + l] splits H into D + V C V^T, where
-//   - D (control penalty + regularisation) is block diagonal, one M x M
-//     block per device with B_j(l, l') = 2 R_j (M - max(l, l')) — banded
-//     with bandwidth M-1, factored in O(n M^3) by the banded Cholesky;
-//   - the tracking term is rank M: each distinct saturation level mi
-//     contributes c_mi v v^T with v[(j, l)] = A_j for l <= mi and
-//     c_mi = 2 Q (number of prediction steps at that level).
-// The unconstrained optimum then follows from the Woodbury identity at
-// O(n M^3 + M dim) instead of the dense O(dim^3) factorisation. The
-// candidate is accepted only if it is strictly inside every constraint row
-// (with margin) and satisfies the dense stationarity residual, so a
-// certified structured solve matches the active-set optimum to solver
-// tolerance; anything else falls back to the QP solver.
-bool MpcController::try_structured_solve() {
-  const std::size_t n = devices_.size();
-  const std::size_t mh = config_.control_horizon;
-  const std::size_t ph = config_.prediction_horizon;
-  const std::size_t dim = n * mh;
-  const std::size_t bw = mh - 1;
-  const double q = config_.tracking_weight;
-
-  const std::size_t band = linalg::band_size(dim, bw);
-  if (st_band_.size() < band) {
-    st_band_.resize(band);
-    st_bandl_.resize(band);
-    st_v_.resize(mh * dim);
-    st_w_.resize(mh * dim);
-    st_z_.resize(dim);
-    st_s_.resize(mh * mh);
-    st_piv_.resize(mh);
-    st_y_.resize(2 * mh);  // [rhs t; solution y]
-    st_u_.resize(dim);
-  }
-
-  // D in compact band storage: couplings never cross device blocks, and
-  // within a block the lower-triangle entry at levels (l, l' <= l) is
-  // 2 R_j (M - l), plus the Tikhonov term on the diagonal.
-  for (std::size_t j = 0; j < n; ++j) {
-    const double r2 = 2.0 * weights_[j];
-    for (std::size_t l = 0; l < mh; ++l) {
-      const std::size_t row = j * mh + l;
-      double* slots = st_band_.data() + row * (bw + 1);
-      for (std::size_t k = 0; k <= bw; ++k) {
-        double val = 0.0;
-        if (row + k >= bw) {
-          const std::size_t col = row + k - bw;
-          if (col >= j * mh) {
-            val = r2 * static_cast<double>(mh - l);
-            if (col == row) val += 2.0 * config_.regularization;
-          }
-        }
-        slots[k] = val;
-      }
-    }
-  }
-  if (!linalg::banded_cholesky_factor(st_band_.data(), st_bandl_.data(), dim,
-                                      bw)) {
-    return false;
-  }
-
-  // Scaled low-rank columns Ṽ = v sqrt(c): the capacitance system becomes
-  // I + Ṽ^T D^{-1} Ṽ, symmetric positive definite by construction.
-  for (std::size_t mi = 0; mi < mh; ++mi) {
-    const double count =
-        (mi + 1 == mh) ? static_cast<double>(ph - mh + 1) : 1.0;
-    const double sc = std::sqrt(2.0 * q * count);
-    double* v = st_v_.data() + mi * dim;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double a_j = sc * model_.gain(j);
-      for (std::size_t l = 0; l < mh; ++l) {
-        v[j * mh + l] = l <= mi ? a_j : 0.0;
-      }
-    }
-    linalg::banded_cholesky_solve(st_bandl_.data(), dim, bw, v,
-                                  st_w_.data() + mi * dim);
-  }
-
-  // z = D^{-1} (-g), device-major (st_u_ doubles as the permuted rhs).
-  for (std::size_t l = 0; l < mh; ++l) {
-    for (std::size_t j = 0; j < n; ++j) {
-      st_u_[j * mh + l] = -ws_qp_.g[l * n + j];
-    }
-  }
-  linalg::banded_cholesky_solve(st_bandl_.data(), dim, bw, st_u_.data(),
-                                st_z_.data());
-
-  // Capacitance S = I + Ṽ^T W and right-hand side t = Ṽ^T z.
-  for (std::size_t m1 = 0; m1 < mh; ++m1) {
-    const double* v1 = st_v_.data() + m1 * dim;
-    for (std::size_t m2 = 0; m2 < mh; ++m2) {
-      const double* w2 = st_w_.data() + m2 * dim;
-      double acc = m1 == m2 ? 1.0 : 0.0;
-      for (std::size_t a = 0; a < dim; ++a) acc += v1[a] * w2[a];
-      st_s_[m1 * mh + m2] = acc;
-    }
-    double t = 0.0;
-    for (std::size_t a = 0; a < dim; ++a) t += v1[a] * st_z_[a];
-    st_y_[m1] = t;
-  }
-  try {
-    linalg::lu_factor_inplace(st_s_.data(), mh, mh, st_piv_.data());
-  } catch (const NumericalError&) {
-    return false;
-  }
-  linalg::lu_solve_inplace(st_s_.data(), mh, mh, st_piv_.data(), st_y_.data(),
-                           st_y_.data() + mh);
-  const double* y = st_y_.data() + mh;
-
-  // u = z - W y, permuted back to the level-major decision layout.
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t l = 0; l < mh; ++l) {
-      const std::size_t a = j * mh + l;
-      double acc = st_z_[a];
-      for (std::size_t mi = 0; mi < mh; ++mi) {
-        acc -= st_w_[mi * dim + a] * y[mi];
-      }
-      st_u_[l * n + j] = acc;
-    }
-  }
-
-  // Certification 1: strictly interior on every constraint row, with a
-  // margin so boundary-grazing candidates go to the active-set solver.
-  double u_inf = 0.0;
-  for (std::size_t a = 0; a < dim; ++a) {
-    u_inf = std::max(u_inf, std::abs(st_u_[a]));
-  }
-  const double margin = 1e-6 * std::max(1.0, u_inf);
-  {
-    std::size_t row = 0;
-    for (std::size_t i = 0; i < mh; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        double cum = 0.0;
-        for (std::size_t l = 0; l <= i; ++l) cum += st_u_[l * n + j];
-        if (cum > ws_qp_.b[row] - margin) return false;
-        if (-cum > ws_qp_.b[row + 1] - margin) return false;
-        row += 2;
-      }
-    }
-  }
-
-  // Certification 2: dense stationarity residual H u + g — catches
-  // precision lost in the Woodbury correction (e.g. near-singular D or an
-  // ill-conditioned capacitance) before it can reach an actuator.
-  double g_inf = 0.0;
-  for (std::size_t a = 0; a < dim; ++a) {
-    g_inf = std::max(g_inf, std::abs(ws_qp_.g[a]));
-  }
-  const double residual_tol = 1e-8 * std::max(1.0, g_inf);
-  for (std::size_t r = 0; r < dim; ++r) {
-    const auto hr = ws_qp_.h.row(r);
-    double acc = ws_qp_.g[r];
-    for (std::size_t c = 0; c < dim; ++c) acc += hr[c] * st_u_[c];
-    if (std::abs(acc) > residual_tol) return false;
-  }
-  return true;
-}
-
-void MpcController::enable_solve_cache(bool on) {
-  cache_enabled_ = on;
-  invalidate_cache();
-}
-
-void MpcController::invalidate_cache() {
-  if (!cache_.empty()) ++cache_stats_.invalidations;
-  cache_.clear();
-  cached_h_ = linalg::Matrix();
-}
-
-bool MpcController::try_cached_solve(const QpProblem& qp,
-                                     std::size_t& region_index) const {
-  constexpr double kTol = 1e-7;
-  const std::size_t n = qp.g.size();
-  for (std::size_t idx = 0; idx < cache_.size(); ++idx) {
-    const auto& region = *cache_[idx];
-    const std::size_t k = region.active_set.size();
-    for (std::size_t r = 0; r < n; ++r) cache_rhs_[r] = -qp.g[r];
-    for (std::size_t a = 0; a < k; ++a) {
-      cache_rhs_[n + a] = qp.b[region.active_set[a]];
-    }
-    linalg::lu_solve_inplace(region.factor.data(), region.dim, region.dim,
-                             region.piv.data(), cache_rhs_.data(),
-                             cache_sol_.data());
-    // KKT validity: multipliers of the working set non-negative...
-    bool valid = true;
-    for (std::size_t a = 0; a < k && valid; ++a) {
-      valid = cache_sol_[n + a] >= -kTol;
-    }
-    if (!valid) continue;
-    // ...and primal feasibility of the remaining constraints.
-    for (std::size_t i = 0; i < qp.c.rows() && valid; ++i) {
-      double cx = 0.0;
-      const auto row = qp.c.row(i);
-      for (std::size_t c = 0; c < n; ++c) cx += row[c] * cache_sol_[c];
-      valid = cx <= qp.b[i] + kTol;
-    }
-    if (!valid) continue;
-    region_index = idx;
-    return true;
-  }
-  return false;
-}
-
-void MpcController::store_region(const QpProblem& qp,
-                                 const std::vector<std::size_t>& active_set) {
-  constexpr std::size_t kMaxRegions = 16;
-  if (cache_.size() >= kMaxRegions) cache_.erase(cache_.begin());
-  cache_.push_back(std::make_shared<CachedRegion>(qp, active_set));
-}
-
 const MpcDecision& MpcController::step(
     Watts measured_power, const std::vector<double>& current_freqs_mhz) {
   const std::size_t n = devices_.size();
@@ -500,96 +249,23 @@ const MpcDecision& MpcController::step(
   assemble_into(error, current_freqs_mhz);
 
   const std::size_t dim = n * config_.control_horizon;
+  solver_.solve(ws_qp_, ws_x0_, qp_ws_,
+                prev_active_.empty() ? nullptr : &prev_active_);
+  const double* solution = qp_ws_.x().data().data();
+  const std::vector<std::size_t>& active_set = qp_ws_.active_set();
+  if (qp_ws_.converged()) {
+    prev_active_.assign(active_set.begin(), active_set.end());
+  } else {
+    prev_active_.clear();
+  }
+
   MpcDecision& out = decision_;
-  out.qp_iterations = 0;
-  out.qp_converged = false;
-  out.cache_hit = false;
-  out.warm_start_hit = false;
-  out.fast_path_hit = false;
-  out.structured_hit = false;
-  out.qp_objective = 0.0;
-  out.active_set_size = 0;
-  const double* solution = nullptr;
-  const std::vector<std::size_t>* active_set = nullptr;
-
-  if (cache_enabled_) {
-    // The Hessian depends on weights and model gains; a change flushes the
-    // cache (constraint rows are structural and never change).
-    if (cached_h_.rows() == 0 ||
-        !linalg::approx_equal(cached_h_, ws_qp_.h, 1e-12)) {
-      invalidate_cache();
-      cached_h_ = ws_qp_.h;
-    }
-    std::size_t region_index = 0;
-    if (try_cached_solve(ws_qp_, region_index)) {
-      ++cache_stats_.hits;
-      // Move the hit region to the back (cheap LRU).
-      if (region_index + 1 != cache_.size()) {
-        auto hit = cache_[region_index];
-        cache_.erase(cache_.begin() + static_cast<long>(region_index));
-        cache_.push_back(std::move(hit));
-      }
-      solution = cache_sol_.data();
-      active_set = &cache_.back()->active_set;
-      out.cache_hit = true;
-      out.qp_converged = true;
-      // The pre-factored path never evaluates the cost; recover it from the
-      // candidate solution (obj = 1/2 x^T H x + g^T x, no scratch needed).
-      double objective = 0.0;
-      for (std::size_t r = 0; r < dim; ++r) {
-        const auto hr = ws_qp_.h.row(r);
-        double hx = 0.0;
-        for (std::size_t c = 0; c < dim; ++c) hx += hr[c] * solution[c];
-        objective += solution[r] * (0.5 * hx + ws_qp_.g[r]);
-      }
-      out.qp_objective = objective;
-    }
-  }
-
-  // Structured tier: banded-Cholesky + Woodbury unconstrained solve,
-  // certified interior. Sits between the region cache and the QP solver —
-  // a certified hit costs ~linear work in the horizon.
-  if (solution == nullptr && config_.structured_solve) {
-    if (try_structured_solve()) {
-      solution = st_u_.data();
-      out.structured_hit = true;
-      out.qp_converged = true;
-      out.qp_iterations = 1;
-      double objective = 0.0;
-      for (std::size_t r = 0; r < dim; ++r) {
-        const auto hr = ws_qp_.h.row(r);
-        double hx = 0.0;
-        for (std::size_t c = 0; c < dim; ++c) hx += hr[c] * solution[c];
-        objective += solution[r] * (0.5 * hx + ws_qp_.g[r]);
-      }
-      out.qp_objective = objective;
-      // The optimum is interior: an empty active set is the right warm
-      // seed for whichever period next needs the QP solver.
-      prev_active_.clear();
-    }
-  }
-
-  if (solution == nullptr) {
-    solver_.solve(ws_qp_, ws_x0_, qp_ws_,
-                  prev_active_.empty() ? nullptr : &prev_active_);
-    out.qp_iterations = qp_ws_.iterations();
-    out.qp_converged = qp_ws_.converged();
-    out.warm_start_hit = qp_ws_.warm_start_hit();
-    out.fast_path_hit = qp_ws_.fast_path_hit();
-    out.qp_objective = qp_ws_.objective();
-    solution = qp_ws_.x().data().data();
-    active_set = &qp_ws_.active_set();
-    if (qp_ws_.converged()) {
-      prev_active_.assign(qp_ws_.active_set().begin(),
-                          qp_ws_.active_set().end());
-    } else {
-      prev_active_.clear();
-    }
-    if (cache_enabled_ && qp_ws_.converged()) {
-      ++cache_stats_.misses;
-      store_region(ws_qp_, qp_ws_.active_set());
-    }
-  }
+  out.qp_iterations = qp_ws_.iterations();
+  out.qp_converged = qp_ws_.converged();
+  out.warm_start_hit = qp_ws_.warm_start_hit();
+  out.fast_path_hit = qp_ws_.fast_path_hit();
+  out.qp_objective = qp_ws_.objective();
+  out.active_set_size = active_set.size();
   out.deltas_mhz.resize(n);
   out.target_freqs_mhz.resize(n);
   out.planned_deltas_mhz.resize(dim);
@@ -599,17 +275,14 @@ const MpcDecision& MpcController::step(
   out.ceiling_binding.resize(n);
   std::fill(out.floor_binding.begin(), out.floor_binding.end(), 0);
   std::fill(out.ceiling_binding.begin(), out.ceiling_binding.end(), 0);
-  if (active_set != nullptr) {
-    out.active_set_size = active_set->size();
-    // First-move constraint rows occupy [0, 2n): row 2j is device j's
-    // ceiling, row 2j+1 its floor (assemble_into's layout).
-    for (const std::size_t row : *active_set) {
-      if (row >= 2 * n) continue;
-      if (row % 2 == 0) {
-        out.ceiling_binding[row / 2] = 1;
-      } else {
-        out.floor_binding[row / 2] = 1;
-      }
+  // First-move constraint rows occupy [0, 2n): row 2j is device j's
+  // ceiling, row 2j+1 its floor (assemble_into's layout).
+  for (const std::size_t row : active_set) {
+    if (row >= 2 * n) continue;
+    if (row % 2 == 0) {
+      out.ceiling_binding[row / 2] = 1;
+    } else {
+      out.floor_binding[row / 2] = 1;
     }
   }
 

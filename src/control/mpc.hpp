@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -58,14 +57,6 @@ struct MpcConfig {
   /// Hessian factorisation, certify-or-fallback). Bitwise-neutral: a hit
   /// returns exactly the active-set solution, so this only changes cost.
   bool qp_fast_path{true};
-  /// Enables the structure-exploiting unconstrained tier: in device-major
-  /// order the Hessian is a banded block-diagonal plus a rank-M tracking
-  /// term, so the solve runs a banded Cholesky plus a Woodbury correction —
-  /// ~linear instead of cubic in the horizon. Certified against the
-  /// constraints and the full KKT residual; any doubt falls back to the QP
-  /// solver. Off by default: a certified result agrees with the active-set
-  /// optimum to solver tolerance but not bit for bit.
-  bool structured_solve{false};
 };
 
 /// Outcome of one control period. All vectors keep a fixed size per
@@ -82,31 +73,18 @@ struct MpcDecision {
   std::vector<double> predicted_power_horizon_watts;
   std::size_t qp_iterations{0};
   bool qp_converged{false};
-  /// True when the decision came from the explicit-MPC region cache
-  /// (pre-factored KKT system) instead of a fresh active-set solve.
-  bool cache_hit{false};
   /// True when the warm-start seed certified (single KKT solve); false on
-  /// cold iterations and cache hits.
+  /// cold iterations.
   bool warm_start_hit{false};
   /// True when the QP solver's analytic fast path certified (bitwise equal
   /// to the active-set solve it replaced).
   bool fast_path_hit{false};
-  /// True when the structured banded/Woodbury tier certified (equal to the
-  /// active-set optimum to solver tolerance, not bit for bit).
-  bool structured_hit{false};
   double qp_objective{0.0};      ///< cost at the optimum
   std::size_t active_set_size{0};  ///< constraint rows active at the optimum
   /// Per device: 1 when the first-move floor / ceiling constraint row is in
   /// the active set (the SLO bound or thermal cap shaped this decision).
   std::vector<int> floor_binding;
   std::vector<int> ceiling_binding;
-};
-
-/// Hit/miss counters of the explicit-MPC region cache.
-struct MpcCacheStats {
-  std::size_t hits{0};
-  std::size_t misses{0};
-  std::size_t invalidations{0};  ///< cache flushes from Hessian changes
 };
 
 /// Unconstrained linear control law d(k) = K_e*(p - Ps) + K_f*(f - f_min),
@@ -180,16 +158,6 @@ class MpcController {
   /// (for pole/stability analysis).
   [[nodiscard]] MpcLinearGains linear_gains() const;
 
-  /// Explicit-MPC region cache (paper Sec 4.3's multi-parametric note):
-  /// within one active-set region the optimum is an affine function of the
-  /// state, so the KKT system is factored once per region and later steps
-  /// in the same region reduce to one triangular solve plus a KKT validity
-  /// check. Falls back to the full active-set solve on region changes and
-  /// flushes whenever the Hessian changes (new weights or model).
-  void enable_solve_cache(bool on);
-  [[nodiscard]] bool solve_cache_enabled() const { return cache_enabled_; }
-  [[nodiscard]] const MpcCacheStats& cache_stats() const { return cache_stats_; }
-
  private:
   /// Assembles the period's QP into the persistent workspace ws_qp_/ws_x0_.
   /// Structural parts (constraint matrix, buffer shapes) are built once;
@@ -199,14 +167,6 @@ class MpcController {
   /// assembly cost is ~independent of the prediction horizon.
   void assemble_into(double error_watts,
                      const std::vector<double>& freqs) const;
-
-  /// Structure-exploiting unconstrained solve: permutes to device-major
-  /// order where H = D + V C V^T with D block-diagonal (banded, bandwidth
-  /// M-1) and V of rank M, factors D with the banded Cholesky and applies
-  /// the Woodbury identity. The candidate is certified against all
-  /// constraint rows (with margin) and the full dense KKT residual; on
-  /// success it lands in st_u_ (level-major) and true is returned.
-  [[nodiscard]] bool try_structured_solve();
 
   MpcConfig config_;
   std::vector<DeviceRange> devices_;
@@ -225,34 +185,6 @@ class MpcController {
   QpWorkspace qp_ws_;
   std::vector<std::size_t> prev_active_;  // warm-start seed for the QP
   MpcDecision decision_;                  // returned by reference from step()
-
-  // Explicit-MPC region cache.
-  struct CachedRegion;
-  void invalidate_cache();
-  /// Scans cached regions; on a hit the candidate [u; lambda] lands in
-  /// cache_sol_ (read the first n entries) and region_index names the hit.
-  [[nodiscard]] bool try_cached_solve(const QpProblem& qp,
-                                      std::size_t& region_index) const;
-  void store_region(const QpProblem& qp,
-                    const std::vector<std::size_t>& active_set);
-  bool cache_enabled_{false};
-  mutable MpcCacheStats cache_stats_;
-  std::vector<std::shared_ptr<CachedRegion>> cache_;
-  linalg::Matrix cached_h_;  // Hessian snapshot the cache was built for
-  mutable std::vector<double> cache_rhs_;  // scratch for try_cached_solve
-  mutable std::vector<double> cache_sol_;
-
-  // Structured-tier scratch (sized on the first structured solve, then
-  // reused allocation-free). All device-major except st_u_.
-  std::vector<double> st_band_;   // D in compact band storage
-  std::vector<double> st_bandl_;  // banded Cholesky factor of D
-  std::vector<double> st_v_;      // scaled low-rank columns, M x dim
-  std::vector<double> st_w_;      // D^{-1} V, M x dim
-  std::vector<double> st_z_;      // D^{-1} (-g)
-  std::vector<double> st_s_;      // M x M capacitance I + V^T D^{-1} V
-  std::vector<std::size_t> st_piv_;
-  std::vector<double> st_y_;      // capacitance solve result
-  std::vector<double> st_u_;      // certified candidate, level-major
 };
 
 }  // namespace capgpu::control

@@ -1,7 +1,6 @@
 #include "control/weights.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 
@@ -12,7 +11,6 @@ WeightAssigner::WeightAssigner(WeightConfig config) : config_(config) {
   CAPGPU_REQUIRE(config_.epsilon > 0.0, "epsilon must be positive");
   CAPGPU_REQUIRE(config_.ema_alpha > 0.0 && config_.ema_alpha <= 1.0,
                  "ema_alpha must be in (0, 1]");
-  CAPGPU_REQUIRE(config_.quantize_rel >= 0.0, "quantize_rel must be >= 0");
 }
 
 std::vector<double> WeightAssigner::assign(
@@ -26,18 +24,6 @@ std::vector<double> WeightAssigner::assign(
     const double w = std::clamp(normalized[j], 0.0, 1.0);
     weights[j] =
         config_.base * (1.0 + config_.epsilon) / (config_.epsilon + w);
-  }
-  return weights;
-}
-
-std::vector<double> WeightAssigner::quantized(
-    std::vector<double> weights) const {
-  if (config_.quantize_rel <= 0.0) return weights;
-  const double q = std::log1p(config_.quantize_rel);
-  for (auto& w : weights) {
-    CAPGPU_REQUIRE(w > 0.0, "weights must be positive");
-    w = config_.base *
-        std::exp(std::round(std::log(w / config_.base) / q) * q);
   }
   return weights;
 }

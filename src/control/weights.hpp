@@ -26,12 +26,6 @@ struct WeightConfig {
   /// CapGpuController): w <- alpha * new + (1 - alpha) * old. 1 = no
   /// smoothing. Damps allocation churn from noisy throughput windows.
   double ema_alpha{0.4};
-  /// Relative log-domain quantisation of the output weights: weights are
-  /// snapped to a geometric grid with ratio (1 + quantize_rel). 0 = off.
-  /// Quantised weights keep the MPC Hessian piecewise-constant, which is
-  /// what lets the explicit-MPC solve cache reuse its factorisations
-  /// across periods.
-  double quantize_rel{0.0};
 };
 
 /// Computes per-device control-penalty weights from normalized throughput.
@@ -44,11 +38,6 @@ class WeightAssigner {
   /// w = 1 gives exactly `base` and w = 0 gives base * (1+eps)/eps.
   [[nodiscard]] std::vector<double> assign(
       const std::vector<double>& normalized) const;
-
-  /// Snaps weights to the geometric quantisation grid (identity when
-  /// quantize_rel == 0). Applied after any smoothing so the grid is the
-  /// last transformation before the MPC Hessian.
-  [[nodiscard]] std::vector<double> quantized(std::vector<double> weights) const;
 
   [[nodiscard]] const WeightConfig& config() const { return config_; }
 

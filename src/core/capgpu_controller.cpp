@@ -23,7 +23,6 @@ CapGpuController::CapGpuController(
     rls_.emplace(mpc_.model(), config.rls);
     excitation_watts_ = config.rls_excitation_watts;
   }
-  mpc_.enable_solve_cache(config.mpc_solve_cache);
   priorities_.assign(mpc_.device_count(), 1.0);
   const std::size_t n_cpu = baselines::cpu_count(mpc_.devices());
   for (const auto& [device, lm] : latency_models_) {
@@ -147,10 +146,8 @@ void CapGpuController::describe_flight(
   m.predicted_power_horizon_w = last_.predicted_power_horizon_watts;
   m.qp_iterations = last_.qp_iterations;
   m.qp_converged = last_.qp_converged;
-  m.cache_hit = last_.cache_hit;
   m.warm_start_hit = last_.warm_start_hit;
   m.fast_path_hit = last_.fast_path_hit;
-  m.structured_hit = last_.structured_hit;
   m.qp_objective = last_.qp_objective;
   m.active_set_size = last_.active_set_size;
   m.floor_binding = last_.floor_binding;
@@ -173,7 +170,16 @@ baselines::ControlOutputs CapGpuController::control(
         df[j] = current_freqs_mhz[j] - prev_freqs_[j];
       }
       if (rls_->update(df, inputs.measured_power.value - *prev_power_)) {
-        mpc_.set_model(rls_->model());
+        // RLS adapts only the gains; re-anchor the offset so the absolute
+        // model predicts the power measured at these clocks. The MPC's
+        // difference model ignores the offset, but the batching governor
+        // prices SLO floors with the absolute model.
+        const control::LinearPowerModel adapted = rls_->model();
+        double offset = inputs.measured_power.value;
+        for (std::size_t j = 0; j < current_freqs_mhz.size(); ++j) {
+          offset -= adapted.gain(j) * current_freqs_mhz[j];
+        }
+        mpc_.set_model(control::LinearPowerModel(adapted.gains(), offset));
       }
     }
     prev_power_ = inputs.measured_power.value;
@@ -195,7 +201,7 @@ baselines::ControlOutputs CapGpuController::control(
   for (std::size_t j = 0; j < weighted.size(); ++j) {
     weighted[j] /= priorities_[j];
   }
-  mpc_.set_control_weights(assigner_.quantized(std::move(weighted)));
+  mpc_.set_control_weights(std::move(weighted));
   // PRBS excitation (adaptive mode): perturbing the measurement fed to the
   // MPC is equivalent to wiggling the tracking target, and keeps dF-rich
   // samples flowing to the estimator after the loop settles. set_point()

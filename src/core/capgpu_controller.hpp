@@ -39,11 +39,6 @@ struct CapGpuConfig {
   /// loop settles. 0 = off. A few watts suffices (the perturbation rides
   /// within the capping margin); ignored when `adaptive` is false.
   double rls_excitation_watts{0.0};
-  /// Enables the explicit-MPC region cache (paper Sec 4.3's
-  /// multi-parametric split). Pair with weights.quantize_rel > 0 so the
-  /// Hessian stays piecewise-constant across periods; adaptive mode
-  /// negates the benefit (every model update flushes the cache).
-  bool mpc_solve_cache{false};
 };
 
 /// The CapGPU MIMO power-capping policy.
@@ -97,7 +92,7 @@ class CapGpuController : public baselines::IServerPowerController {
   [[nodiscard]] const std::vector<double>& last_weights() const { return last_weights_; }
 
   /// Flight-recorder hook: exports the last period's full replay state
-  /// (post-RLS model, quantized weights, effective bounds, MPC config and
+  /// (post-RLS model, control weights, effective bounds, MPC config and
   /// QP diagnostics) so tools/capgpu_ctl_replay can re-solve the period
   /// bit-identically from the record alone.
   void describe_flight(telemetry::FlightRecord& record) const override;
@@ -106,7 +101,9 @@ class CapGpuController : public baselines::IServerPowerController {
   /// adaptive estimator's prior when adaptation is enabled.
   void set_model(control::LinearPowerModel model);
 
-  /// The model currently in use (adapted when `adaptive` is on).
+  /// The model currently in use. When `adaptive` is on, the gains are the
+  /// RLS estimates and the offset is re-anchored at every update so the
+  /// model predicts the power measured at that period's clocks.
   [[nodiscard]] const control::LinearPowerModel& current_model() const {
     return mpc_.model();
   }

@@ -37,15 +37,12 @@ const char* failsafe_name(int state) {
 // Tier attribution for capgpu_ctl_solver_path_total. The tiers are mutually
 // exclusive in the controller; the most-specific-first ordering keeps
 // attribution deterministic even for hand-edited logs.
-constexpr const char* kSolverPathNames[5] = {"cache", "structured", "warm",
-                                             "fast", "cold"};
+constexpr const char* kSolverPathNames[3] = {"warm", "fast", "cold"};
 
 std::size_t solver_path_index(const FlightMpcState& m) {
-  if (m.cache_hit) return 0;
-  if (m.structured_hit) return 1;
-  if (m.warm_start_hit) return 2;
-  if (m.fast_path_hit) return 3;
-  return 4;
+  if (m.warm_start_hit) return 0;
+  if (m.fast_path_hit) return 1;
+  return 2;
 }
 
 // --- JSONL rendering -------------------------------------------------------
@@ -172,6 +169,18 @@ std::size_t size_at(const json::Value& v, const char* key) {
   return static_cast<std::size_t>(v.number_or(key, 0.0));
 }
 
+/// A replay sizes the controller by the gain count and indexes the device
+/// ranges and bounds per device, so a log whose arrays disagree with it is
+/// rejected at parse time instead of being read past an array's end.
+void require_per_device(std::size_t entries, std::size_t gains,
+                        const char* key) {
+  if (entries != gains) {
+    throw InvalidArgument(std::string("mpc.") + key + " has " +
+                          std::to_string(entries) + " entries for " +
+                          std::to_string(gains) + " gains");
+  }
+}
+
 thread_local FlightRecorder* t_current_recorder = nullptr;
 
 }  // namespace
@@ -228,10 +237,8 @@ std::string FlightRecord::to_jsonl() const {
     m.nums("predicted_latency_s", mpc.predicted_latency_s);
     m.integer("qp_iterations", static_cast<long long>(mpc.qp_iterations));
     m.boolean("qp_converged", mpc.qp_converged);
-    m.boolean("cache_hit", mpc.cache_hit);
     m.boolean("warm_start_hit", mpc.warm_start_hit);
     m.boolean("fast_path_hit", mpc.fast_path_hit);
-    m.boolean("structured_hit", mpc.structured_hit);
     m.num("qp_objective", mpc.qp_objective);
     m.integer("active_set_size", static_cast<long long>(mpc.active_set_size));
     m.ints("floor_binding", mpc.floor_binding);
@@ -277,6 +284,12 @@ FlightRecord FlightRecord::from_json(const json::Value& v) {
     mpc.f_lo_mhz = numbers_at(m, "f_lo_mhz");
     mpc.f_hi_mhz = numbers_at(m, "f_hi_mhz");
     mpc.device_kinds = ints_at(m, "device_kinds");
+    const std::size_t n = mpc.gains_w_per_mhz.size();
+    require_per_device(mpc.f_min_mhz.size(), n, "f_min_mhz");
+    require_per_device(mpc.f_max_mhz.size(), n, "f_max_mhz");
+    require_per_device(mpc.f_lo_mhz.size(), n, "f_lo_mhz");
+    require_per_device(mpc.f_hi_mhz.size(), n, "f_hi_mhz");
+    require_per_device(mpc.device_kinds.size(), n, "device_kinds");
     mpc.prediction_horizon = size_at(m, "prediction_horizon");
     mpc.control_horizon = size_at(m, "control_horizon");
     mpc.tracking_weight = m.number_or("tracking_weight", 0.0);
@@ -290,12 +303,10 @@ FlightRecord FlightRecord::from_json(const json::Value& v) {
     mpc.predicted_latency_s = numbers_at(m, "predicted_latency_s");
     mpc.qp_iterations = size_at(m, "qp_iterations");
     mpc.qp_converged = bool_at(m, "qp_converged");
-    mpc.cache_hit = bool_at(m, "cache_hit");
     mpc.warm_start_hit = bool_at(m, "warm_start_hit");
     // Absent in logs recorded before the tiered solve: default false, which
     // replays as a plain active-set solve (the tiers are bitwise-neutral).
     mpc.fast_path_hit = bool_at(m, "fast_path_hit");
-    mpc.structured_hit = bool_at(m, "structured_hit");
     mpc.qp_objective = m.number_or("qp_objective", 0.0);
     mpc.active_set_size = size_at(m, "active_set_size");
     mpc.floor_binding = ints_at(m, "floor_binding");

@@ -47,8 +47,8 @@ struct FlightMpcState {
   // Identified difference model dp = A * dF + C at this period (post-RLS).
   std::vector<double> gains_w_per_mhz;
   double offset_w{0.0};
-  /// Control-penalty weights as handed to the MPC (post EMA smoothing,
-  /// priority division and quantization).
+  /// Control-penalty weights as handed to the MPC (post EMA smoothing and
+  /// priority division).
   std::vector<double> weights;
   std::vector<double> f_min_mhz;  ///< effective floors (SLO bounds applied)
   std::vector<double> f_max_mhz;  ///< effective ceilings (thermal applied)
@@ -71,14 +71,10 @@ struct FlightMpcState {
   // QP diagnostics.
   std::size_t qp_iterations{0};
   bool qp_converged{false};
-  bool cache_hit{false};
   bool warm_start_hit{false};
   /// QP solver's analytic fast path certified (bitwise equal to the
   /// active-set solve it replaced).
   bool fast_path_hit{false};
-  /// Structured banded/Woodbury tier certified (equal to the active-set
-  /// optimum to solver tolerance; replay re-enables the tier to match).
-  bool structured_hit{false};
   double qp_objective{0.0};
   std::size_t active_set_size{0};
   std::vector<int> floor_binding;    ///< per device, first-move floor active
@@ -119,7 +115,9 @@ struct FlightRecord {
 
   /// One JSONL line (no trailing newline). Doubles print at %.17g.
   [[nodiscard]] std::string to_jsonl() const;
-  /// Inverse of to_jsonl for one parsed line.
+  /// Inverse of to_jsonl for one parsed line. Throws InvalidArgument when
+  /// an mpc object's per-device arrays (bounds, spec range, device kinds)
+  /// do not each hold one entry per gain.
   [[nodiscard]] static FlightRecord from_json(const json::Value& v);
 };
 
@@ -210,8 +208,8 @@ class FlightRecorder {
     LogLinearHistogram* power_err_hist{nullptr};
     LogLinearHistogram* qp_iter_hist{nullptr};
     /// capgpu_ctl_solver_path_total, one handle per tier in the order
-    /// cache / structured / warm / fast / cold (see solver_path_index).
-    Counter* path_counters[5]{};
+    /// warm / fast / cold (see solver_path_index).
+    Counter* path_counters[3]{};
     Counter* nonconverged_counter{nullptr};
     Counter* floor_periods_counter{nullptr};
     Counter* ceiling_periods_counter{nullptr};

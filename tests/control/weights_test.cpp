@@ -66,36 +66,6 @@ TEST(Weights, ValidationThrows) {
   EXPECT_THROW(WeightAssigner{bad_ema}, capgpu::InvalidArgument);
 }
 
-TEST(Weights, QuantizationSnapsToGeometricGrid) {
-  WeightConfig cfg;
-  cfg.base = 1e-4;
-  cfg.quantize_rel = 0.25;
-  const WeightAssigner a(cfg);
-  // Nearby inputs map to the same grid point.
-  const auto w1 = a.quantized({1.02e-4});
-  const auto w2 = a.quantized({0.98e-4});
-  EXPECT_DOUBLE_EQ(w1[0], w2[0]);
-  EXPECT_DOUBLE_EQ(w1[0], 1e-4);  // base itself is a grid point
-  // Grid ratio is 1.25: a weight near base*1.25 snaps to that rung.
-  const auto w3 = a.quantized({1.3e-4});
-  EXPECT_NEAR(w3[0], 1.25e-4, 1e-9);
-}
-
-TEST(Weights, QuantizationOffIsIdentity) {
-  const WeightAssigner a{WeightConfig{}};
-  const std::vector<double> in{3.7e-5, 8.1e-5};
-  EXPECT_EQ(a.quantized(in), in);
-}
-
-TEST(Weights, QuantizationPreservesOrdering) {
-  WeightConfig cfg;
-  cfg.quantize_rel = 0.3;
-  const WeightAssigner a(cfg);
-  const auto w = a.quantized(a.assign({0.1, 0.5, 0.9}));
-  EXPECT_GE(w[0], w[1]);
-  EXPECT_GE(w[1], w[2]);
-}
-
 TEST(Weights, AllWeightsPositive) {
   const auto w = WeightAssigner(WeightConfig{}).assign({0.0, 0.5, 1.0});
   for (const double x : w) EXPECT_GT(x, 0.0);

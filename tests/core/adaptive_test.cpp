@@ -63,6 +63,30 @@ TEST(AdaptiveCapGpu, RlsCorrectsAMisidentifiedModel) {
   EXPECT_NEAR(true_plant().predict(f).value, 900.0, 5.0);
 }
 
+TEST(AdaptiveCapGpu, AdaptedModelPredictsTheUpdatesOperatingPoint) {
+  // RLS adapts only the gains of the difference model. The absolute model
+  // (the batching governor prices SLO floors with it) must still predict
+  // the power measured at the clocks of each update; the prior's offset
+  // with adapted gains would be off by the gain error times the clocks.
+  CapGpuConfig cfg;
+  cfg.adaptive = true;
+  CapGpuController ctl(cfg, devices(), wrong_prior(), 900_W, {});
+  std::vector<double> f{1000.0, 435.0, 435.0};
+  std::size_t checked = 0;
+  for (int k = 0; k < 40; ++k) {
+    ctl.set_set_point(Watts{(k / 5) % 2 ? 940.0 : 860.0});
+    const Watts p = true_plant().predict(f);
+    const std::size_t updates = ctl.adaptation_updates();
+    const std::vector<double> clocks = f;
+    f = ctl.control(inputs(p.value), f).target_freqs_mhz;
+    if (ctl.adaptation_updates() == updates) continue;
+    EXPECT_NEAR(ctl.current_model().predict(clocks).value, p.value, 1e-6)
+        << "period " << k;
+    ++checked;
+  }
+  EXPECT_GT(checked, 5u);
+}
+
 TEST(AdaptiveCapGpu, DisabledByDefault) {
   CapGpuController ctl(CapGpuConfig{}, devices(), wrong_prior(), 900_W, {});
   std::vector<double> f{1000.0, 435.0, 435.0};
@@ -175,24 +199,6 @@ TEST(AdaptiveCapGpu, BuiltInExcitationIdentifiesWithoutExternalDither) {
   EXPECT_NEAR(tail.mean(), 900.0, 12.0);
   EXPECT_LT(tail.stddev(), 25.0);
   EXPECT_DOUBLE_EQ(ctl.set_point().value, 900.0);  // reported cap honest
-}
-
-TEST(CachedCapGpu, SolveCacheKeepsTrackingAndHits) {
-  // The explicit-MPC cache with quantised weights: same capping quality,
-  // most periods served from pre-factored regions.
-  ServerRig rig;
-  CapGpuConfig cfg;
-  cfg.mpc_solve_cache = true;
-  cfg.weights.quantize_rel = 0.3;
-  CapGpuController ctl(cfg, rig.device_ranges(), rig.analytic_power_model(),
-                       900_W, rig.latency_models());
-  RunOptions opt;
-  opt.periods = 100;
-  opt.set_point = 900_W;
-  const RunResult res = rig.run(ctl, opt);
-  EXPECT_NEAR(res.steady_power(20).mean(), 900.0, 8.0);
-  const auto& stats = ctl.mpc().cache_stats();
-  EXPECT_GT(stats.hits, stats.misses + stats.invalidations);
 }
 
 }  // namespace

@@ -116,14 +116,12 @@ INSTANTIATE_TEST_SUITE_P(NoiseLevels, MeterNoiseSweep,
 
 TEST(Soak, LongRunStaysHealthy) {
   // 1000 control periods (~67 simulated minutes) with everything enabled:
-  // adaptive RLS, solve cache, SLOs, thermal + batching governors, and
+  // adaptive RLS, SLOs, thermal + batching governors, and
   // periodic set-point changes. No drift, no violations beyond
   // transients, monitors bounded.
   ServerRig rig;
   CapGpuConfig cfg;
   cfg.adaptive = true;
-  cfg.mpc_solve_cache = true;
-  cfg.weights.quantize_rel = 0.3;
   CapGpuController ctl(cfg, rig.device_ranges(), rig.analytic_power_model(),
                        900_W, rig.latency_models());
 
@@ -165,8 +163,7 @@ TEST(Soak, LongRunStaysHealthy) {
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_LT(res.slo_misses[i].ratio(), 0.05) << "gpu " << i;
   }
-  // The solve cache and estimator stayed live and sane.
-  EXPECT_GT(ctl.mpc().cache_stats().hits, 100u);
+  // The estimator stayed live and sane.
   for (std::size_t j = 0; j < 4; ++j) {
     EXPECT_GT(ctl.current_model().gain(j), 0.0);
     EXPECT_LT(ctl.current_model().gain(j), 1.0);

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/json.hpp"
 #include "telemetry/metric_names.hpp"
 #include "telemetry/metrics.hpp"
@@ -42,6 +43,9 @@ TEST(FlightRecord, JsonlRoundTripIsBitExact) {
   rec.mpc.gains_w_per_mhz = {0.123456789012345678, 0.2, 0.3};
   rec.mpc.offset_w = 123.45678901234567;
   rec.mpc.f_min_mhz = {1000.0, 544.44444444444446, 435.0};
+  rec.mpc.f_max_mhz = {2400.0, 1350.0, 1200.0};
+  rec.mpc.f_lo_mhz = {1000.0, 435.0, 435.0};
+  rec.mpc.f_hi_mhz = {2400.0, 1350.0, 1350.0};
   rec.mpc.device_kinds = {0, 1, 1};
   rec.mpc.prediction_horizon = 8;
   rec.mpc.control_horizon = 2;
@@ -74,6 +78,39 @@ TEST(FlightRecord, JsonlRoundTripIsBitExact) {
   EXPECT_TRUE(back.mpc.warm_start_hit);
   EXPECT_EQ(back.mpc.floor_binding, rec.mpc.floor_binding);
   EXPECT_EQ(back.policy, "capgpu");
+
+  // Logs written before the region cache and the structured tier were
+  // removed carry their hit flags; such a line still parses, and
+  // serializes again without them.
+  std::string legacy = line;
+  legacy.insert(legacy.find("\"warm_start_hit\""), "\"cache_hit\":0,");
+  legacy.insert(legacy.find("\"qp_objective\""), "\"structured_hit\":0,");
+  ASSERT_NE(legacy, line);
+  EXPECT_EQ(FlightRecord::from_json(json::parse(legacy)).to_jsonl(), line);
+}
+
+TEST(FlightRecord, ShortPerDeviceArraysAreRejected) {
+  // A replay sizes the controller by the gain count and indexes every
+  // per-device array with it; a log is outside input, so a short array must
+  // fail the parse instead of being read past its end.
+  FlightRecord rec;
+  rec.policy = "capgpu";
+  rec.mpc.present = true;
+  rec.mpc.gains_w_per_mhz = {0.05, 0.19};
+  rec.mpc.f_min_mhz = {1000.0, 435.0};
+  rec.mpc.f_max_mhz = {2400.0, 1350.0};
+  rec.mpc.f_lo_mhz = {1000.0, 435.0};
+  rec.mpc.f_hi_mhz = {2400.0, 1350.0};
+  rec.mpc.device_kinds = {0, 1};
+  EXPECT_NO_THROW(FlightRecord::from_json(json::parse(rec.to_jsonl())));
+
+  rec.mpc.device_kinds = {0};
+  EXPECT_THROW(FlightRecord::from_json(json::parse(rec.to_jsonl())),
+               InvalidArgument);
+  rec.mpc.device_kinds = {0, 1};
+  rec.mpc.f_hi_mhz = {2400.0};
+  EXPECT_THROW(FlightRecord::from_json(json::parse(rec.to_jsonl())),
+               InvalidArgument);
 }
 
 TEST(FlightRecord, AbsentMpcSerializesAsNull) {

@@ -9,18 +9,13 @@
 // record from that state, re-solves the period, and asserts the resulting
 // caps are bit-identical to the recorded decision (doubles serialize at
 // %.17g, so the round trip is exact; the active-set solver is
-// deterministic). Records decided by the explicit-MPC region cache or the
-// structured banded/Woodbury tier take a different arithmetic path, so they
-// are checked at 1e-6 MHz and counted separately (the structured tier is
-// re-enabled from the record's structured_hit flag, so its primary replay
-// is still bit-identical; the tolerance check is the cross-check below).
+// deterministic).
 //
 // Solver-tier attribution: periods are counted by the tier that decided
-// them (cache / structured / warm / fast / cold). Every fast-path and
-// warm-start period is additionally re-solved with both shortcuts disabled
-// and asserted bit-identical to the pure active-set solve — the recorded
-// run is the proof that the tiers change cost, never bits. Structured
-// periods are cross-checked against the active-set solve at 1e-6 MHz.
+// them (warm / fast / cold). Every fast-path and warm-start period is
+// additionally re-solved with the fast path disabled and without a warm
+// seed, and asserted bit-identical to that pure active-set solve — the
+// recorded run is the proof that the tiers change cost, never bits.
 //
 // --counterfactual re-solves every period under a modified configuration
 // (a different power cap, a different prediction horizon) and reports how
@@ -79,10 +74,9 @@ std::vector<FlightRecord> load_flight_log(const std::string& path) {
 
 /// Rebuilds the recorded controller and re-solves the period. `cap` /
 /// `horizon` override the recorded configuration for counterfactuals.
-/// `pure_active_set` disables both solve shortcuts (fast path, structured
-/// tier) to produce the reference active-set solution for cross-checks;
-/// otherwise the structured tier is enabled exactly when the record used
-/// it, so the replayed arithmetic matches the recording run's.
+/// `pure_active_set` disables the fast path to produce the reference
+/// active-set solution for cross-checks (a fresh controller has no warm
+/// seed either way).
 capgpu::control::MpcDecision resolve(const FlightRecord& rec,
                                      std::optional<double> cap,
                                      std::optional<std::size_t> horizon,
@@ -97,7 +91,6 @@ capgpu::control::MpcDecision resolve(const FlightRecord& rec,
   cfg.violation_decay = m.violation_decay;
   cfg.regularization = m.regularization;
   cfg.qp_fast_path = !pure_active_set;
-  cfg.structured_solve = !pure_active_set && m.structured_hit;
   std::vector<capgpu::control::DeviceRange> devices(n);
   for (std::size_t j = 0; j < n; ++j) {
     devices[j].kind = m.device_kinds[j] == 0 ? capgpu::DeviceKind::kCpu
@@ -135,24 +128,19 @@ bool bit_identical(double a, double b) {
 struct ReplayStats {
   std::size_t replayed{0};
   std::size_t exact{0};
-  std::size_t cache_checked{0};  // cache-hit records, tolerance-checked
   std::size_t mismatches{0};
-  /// Periods by deciding tier: cache / structured / warm / fast / cold.
-  std::size_t by_tier[5]{};
+  /// Periods by deciding tier: warm / fast / cold.
+  std::size_t by_tier[3]{};
   /// Warm/fast periods proven bit-identical to a pure active-set re-solve.
   std::size_t shortcut_crosschecked{0};
-  /// Structured periods within tolerance of a pure active-set re-solve.
-  std::size_t structured_crosschecked{0};
 };
 
-/// 0 cache, 1 structured, 2 warm, 3 fast, 4 cold — mirrors the
-/// capgpu_ctl_solver_path_total label order.
+/// 0 warm, 1 fast, 2 cold — mirrors the capgpu_ctl_solver_path_total label
+/// order.
 std::size_t tier_of(const FlightMpcState& m) {
-  if (m.cache_hit) return 0;
-  if (m.structured_hit) return 1;
-  if (m.warm_start_hit) return 2;
-  if (m.fast_path_hit) return 3;
-  return 4;
+  if (m.warm_start_hit) return 0;
+  if (m.fast_path_hit) return 1;
+  return 2;
 }
 
 }  // namespace
@@ -192,35 +180,25 @@ int main(int argc, char** argv) {
     }
 
     ReplayStats stats;
-    constexpr double kCacheTolMhz = 1e-6;
     for (const FlightRecord& rec : records) {
       if (!rec.mpc.present) continue;
       const capgpu::control::MpcDecision d = resolve(rec, {}, {});
       ++stats.replayed;
       bool ok = d.target_freqs_mhz.size() == rec.targets_mhz.size();
-      bool exact = ok;
       double worst = 0.0;
       for (std::size_t j = 0; ok && j < rec.targets_mhz.size(); ++j) {
         const double got = d.target_freqs_mhz[j];
         const double want = rec.targets_mhz[j];
-        if (!bit_identical(got, want)) exact = false;
         worst = std::max(worst, std::abs(got - want));
-        if (rec.mpc.cache_hit ? std::abs(got - want) > kCacheTolMhz
-                              : !bit_identical(got, want)) {
-          ok = false;
-        }
+        if (!bit_identical(got, want)) ok = false;
       }
-      if (rec.mpc.cache_hit) {
-        ++stats.cache_checked;
-      } else if (exact) {
-        ++stats.exact;
-      }
+      if (ok) ++stats.exact;
       const std::size_t tier = tier_of(rec.mpc);
       ++stats.by_tier[tier];
-      if (tier == 2 || tier == 3) {
+      if (tier != 2) {
         // Warm-start and fast-path hits claim bitwise identity with the
-        // active-set solve they replaced; prove it by re-solving with both
-        // shortcuts disabled.
+        // active-set solve they replaced; prove it by re-solving without
+        // either shortcut.
         const capgpu::control::MpcDecision ref = resolve(rec, {}, {}, true);
         bool same = ref.target_freqs_mhz.size() == rec.targets_mhz.size();
         for (std::size_t j = 0; same && j < rec.targets_mhz.size(); ++j) {
@@ -233,25 +211,7 @@ int main(int argc, char** argv) {
           std::fprintf(stderr,
                        "[replay] MISMATCH pid=%d period=%zu: %s tier "
                        "diverged from the pure active-set re-solve\n",
-                       rec.pid, rec.period, tier == 2 ? "warm" : "fast");
-        }
-      } else if (tier == 1) {
-        // Structured hits match the active-set optimum to solver tolerance.
-        const capgpu::control::MpcDecision ref = resolve(rec, {}, {}, true);
-        bool close = ref.target_freqs_mhz.size() == rec.targets_mhz.size();
-        for (std::size_t j = 0; close && j < rec.targets_mhz.size(); ++j) {
-          close = std::abs(ref.target_freqs_mhz[j] - rec.targets_mhz[j]) <=
-                  kCacheTolMhz;
-        }
-        if (close) {
-          ++stats.structured_crosschecked;
-        } else {
-          ok = false;
-          std::fprintf(stderr,
-                       "[replay] MISMATCH pid=%d period=%zu: structured "
-                       "tier drifted beyond %g MHz from the active-set "
-                       "re-solve\n",
-                       rec.pid, rec.period, kCacheTolMhz);
+                       rec.pid, rec.period, tier == 0 ? "warm" : "fast");
         }
       }
       if (!ok) {
@@ -259,9 +219,8 @@ int main(int argc, char** argv) {
         if (stats.mismatches <= 5 || verbose) {
           std::fprintf(stderr,
                        "[replay] MISMATCH pid=%d period=%zu policy=%s "
-                       "worst drift %.9g MHz%s\n",
-                       rec.pid, rec.period, rec.policy.c_str(), worst,
-                       rec.mpc.cache_hit ? " (cache hit)" : "");
+                       "worst drift %.9g MHz\n",
+                       rec.pid, rec.period, rec.policy.c_str(), worst);
           if (verbose) {
             for (std::size_t j = 0; j < rec.targets_mhz.size(); ++j) {
               std::fprintf(stderr, "  device %zu: recorded %.17g got %.17g\n",
@@ -275,22 +234,15 @@ int main(int argc, char** argv) {
       }
     }
     std::printf(
-        "[replay] re-solved %zu periods: %zu bit-identical, %zu cache-path "
-        "(checked at %g MHz), %zu mismatches\n",
-        stats.replayed, stats.exact, stats.cache_checked, kCacheTolMhz,
-        stats.mismatches);
-    std::printf(
-        "[solver] periods by tier: cache=%zu structured=%zu warm=%zu "
-        "fast=%zu cold=%zu\n",
-        stats.by_tier[0], stats.by_tier[1], stats.by_tier[2],
-        stats.by_tier[3], stats.by_tier[4]);
-    if (stats.by_tier[2] + stats.by_tier[3] + stats.by_tier[1] > 0) {
+        "[replay] re-solved %zu periods: %zu bit-identical, %zu mismatches\n",
+        stats.replayed, stats.exact, stats.mismatches);
+    std::printf("[solver] periods by tier: warm=%zu fast=%zu cold=%zu\n",
+                stats.by_tier[0], stats.by_tier[1], stats.by_tier[2]);
+    if (stats.by_tier[0] + stats.by_tier[1] > 0) {
       std::printf(
           "[solver] cross-checked against pure active-set re-solves: "
-          "%zu/%zu warm+fast periods bit-identical, %zu/%zu structured "
-          "periods within %g MHz\n",
-          stats.shortcut_crosschecked, stats.by_tier[2] + stats.by_tier[3],
-          stats.structured_crosschecked, stats.by_tier[1], kCacheTolMhz);
+          "%zu/%zu warm+fast periods bit-identical\n",
+          stats.shortcut_crosschecked, stats.by_tier[0] + stats.by_tier[1]);
     }
 
     // Attribution summary: prediction-error residuals measure how wrong the
