@@ -3,8 +3,9 @@
 // The reference campaign browns out one PDU of a 2-PDU rack (4 single-GPU
 // CapGPU rigs, saturated resnet50 serving): the two rigs on the sagged
 // feed lose their power meters for two minutes while the deliverable rack
-// budget drops 12%. The campaign runs twice — coordinator rig-health
-// management off ("baseline") and on ("hardened"); both variants run
+// budget drops 12%. The campaign runs twice through
+// fleet::run_rack_campaign — coordinator rig-health management off
+// ("baseline") and on ("hardened"); both variants run
 // hardened control loops, so the delta isolates the rack layer. The
 // hardened coordinator detects the dark rigs via its watchdogs,
 // quarantines them at their minimum budget, and drains the freed watts
@@ -112,8 +113,10 @@ std::string campaign_text(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::string(argv[i]) == "--campaign") {
       std::ifstream in(argv[i + 1]);
-      CAPGPU_REQUIRE(in.good(),
-                     std::string("cannot read campaign file ") + argv[i + 1]);
+      if (!in.good()) {
+        throw InvalidArgument(std::string("cannot read campaign file ") +
+                              argv[i + 1]);
+      }
       std::ostringstream text;
       text << in.rdbuf();
       return text.str();
@@ -139,8 +142,15 @@ int main(int argc, char** argv) {
       "Extension: chaos campaigns over correlated fault domains",
       "rig health management under a PDU brownout");
 
-  const faults::CampaignConfig cfg =
-      faults::parse_campaign(campaign_text(argc, argv));
+  // A rejected document (malformed JSON, a negative or fractional count,
+  // an out-of-domain number) is a usage error, like a bad flag.
+  faults::CampaignConfig cfg;
+  try {
+    cfg = faults::parse_campaign(campaign_text(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
+  }
   std::printf(
       "campaign '%s': %zu rigs (%zux%zux%zu), %.0f W rack budget, "
       "%zu periods x %.0f s\n",
@@ -152,20 +162,20 @@ int main(int argc, char** argv) {
   // telemetry (and the resilience entries) in scenario order, so the
   // scorecard is byte-identical for any --jobs count.
   runner::ScenarioRunner sr({bench::jobs()});
-  const std::vector<faults::CampaignResult> outcomes =
+  const std::vector<fleet::FleetCampaignResult> outcomes =
       sr.map(2, [&](std::size_t idx) {
-        return faults::run_campaign(cfg, /*health_managed=*/idx == 1);
+        return fleet::run_rack_campaign(cfg, /*health_managed=*/idx == 1);
       });
 
   telemetry::Table t("campaign '" + cfg.name + "': baseline vs hardened");
   t.set_header({"Variant", "rack W", "images", "burn", "fs entries",
                 "health transitions"});
   for (const auto& o : outcomes) {
-    t.add_row({o.variant, telemetry::fmt(o.mean_rack_power_w, 1),
-               telemetry::fmt(o.rack_images, 0),
-               telemetry::fmt(o.total_burn, 4),
-               telemetry::fmt(static_cast<double>(o.failsafe_engagements), 0),
-               telemetry::fmt(static_cast<double>(o.health_transitions), 0)});
+    t.add_row(
+        {o.variant, telemetry::fmt(o.fleet.mean_power_w, 1),
+         telemetry::fmt(o.fleet.images, 0), telemetry::fmt(o.total_burn, 4),
+         telemetry::fmt(static_cast<double>(o.fleet.failsafe_engagements), 0),
+         telemetry::fmt(static_cast<double>(o.fleet.health_log.size()), 0)});
   }
   t.print();
 

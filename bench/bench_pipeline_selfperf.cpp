@@ -35,6 +35,7 @@
 #include "core/rig.hpp"
 #include "hw/server_model.hpp"
 #include "sim/engine.hpp"
+#include "telemetry/context.hpp"
 #include "telemetry/energy.hpp"
 #include "telemetry/flight.hpp"
 #include "telemetry/metric_names.hpp"
@@ -566,13 +567,9 @@ struct Row {
 // accounting per period and one struct append per completed batch. The
 // guards keep each within the repo's 5% observability budget on a full run.
 double run_control_loop_seconds(bool flight_on, bool energy_on = false) {
-  telemetry::MetricsRegistry registry;
-  telemetry::MetricsRegistry::ScopedCurrent metrics_guard(registry);
-  telemetry::FlightRecorder recorder;
-  recorder.set_enabled(flight_on);
-  telemetry::FlightRecorder::ScopedCurrent flight_guard(recorder);
-  telemetry::EnergyRegistry energy;
-  telemetry::EnergyRegistry::ScopedCurrent energy_guard(energy);
+  telemetry::Context context;
+  context.flight().set_enabled(flight_on);
+  telemetry::Context::Binding bind(context);
   core::ServerRig rig;
   core::CapGpuController ctl(core::CapGpuConfig{}, rig.device_ranges(),
                              rig.analytic_power_model(), 900_W,
@@ -585,7 +582,7 @@ double run_control_loop_seconds(bool flight_on, bool energy_on = false) {
   const auto t0 = std::chrono::steady_clock::now();
   (void)rig.run(ctl, opt);
   const auto t1 = std::chrono::steady_clock::now();
-  recorder.finish();
+  context.flight().finish();
   return std::chrono::duration<double>(t1 - t0).count();
 }
 

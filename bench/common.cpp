@@ -5,6 +5,7 @@
 #include "common/options.hpp"
 #include "runner/scenario_runner.hpp"
 #include "runner/thread_pool.hpp"
+#include "telemetry/context.hpp"
 #include "telemetry/csv.hpp"
 #include "telemetry/energy.hpp"
 #include "telemetry/metric_names.hpp"
@@ -262,15 +263,10 @@ void init(int& argc, char** argv) {
     static bool registered = false;
     if (!registered) {
       registered = true;
-      // Force-construct the singletons before registering the flush so
-      // they are destroyed after it runs (atexit and static destructors
-      // share one LIFO list).
-      (void)telemetry::MetricsRegistry::global();
-      (void)telemetry::Tracer::global();
-      (void)telemetry::SloRegistry::global();
-      (void)telemetry::FlightRecorder::global();
-      (void)telemetry::ResilienceRegistry::global();
-      (void)telemetry::EnergyRegistry::global();
+      // Force-construct the global context before registering the flush
+      // so its sinks are destroyed after it runs (atexit and static
+      // destructors share one LIFO list).
+      (void)telemetry::Context::global();
       std::atexit(flush_outputs);
     }
   }

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Chaos-campaign resilience gate: run the reference PDU-brownout campaign
 # (bench_chaos_campaigns), check the --resilience-out scorecard is
-# byte-identical across reruns and --jobs values, then gate on the scores:
+# byte-identical across reruns and --jobs values — and so is every other
+# artifact the bench writes (--metrics-out, --flight-out, --slo-report-out,
+# --energy-out): the one bench that nests ScenarioRunner and FleetSim
+# telemetry contexts in one process. Then gate on the scores:
 # the health-managed coordinator must burn strictly less SLO error budget
 # during the fault than the health-disabled baseline, must actually detect
 # the fault, and must recover within a pinned MTTR bound. Registered as
@@ -15,8 +18,20 @@ BENCH="${1:?usage: check_resilience.sh <bench_chaos_campaigns>}"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-"$BENCH" --resilience-out "$tmp/resilience.json" --jobs 1 > "$tmp/out.txt"
-[ -s "$tmp/resilience.json" ] || { echo "FAIL: resilience.json empty"; exit 1; }
+# Every artifact of one run, under a name prefix.
+artifacts() {
+  local prefix="$1"
+  shift
+  "$BENCH" --resilience-out "$tmp/$prefix.resilience.json" \
+    --metrics-out "$tmp/$prefix.metrics.prom" \
+    --flight-out "$tmp/$prefix.flight.jsonl" \
+    --slo-report-out "$tmp/$prefix.slo.json" \
+    --energy-out "$tmp/$prefix.energy.json" "$@"
+}
+
+artifacts jobs1 --jobs 1 > "$tmp/out.txt"
+scorecard="$tmp/jobs1.resilience.json"
+[ -s "$scorecard" ] || { echo "FAIL: resilience.json empty"; exit 1; }
 
 if grep -q FAIL "$tmp/out.txt"; then
   echo "FAIL: bench shape checks failed"
@@ -26,16 +41,17 @@ fi
 
 # Determinism: a rerun and a parallel run must produce the same bytes.
 "$BENCH" --resilience-out "$tmp/rerun.json" --jobs 1 > /dev/null
-cmp "$tmp/resilience.json" "$tmp/rerun.json" \
+cmp "$scorecard" "$tmp/rerun.json" \
   || { echo "FAIL: two identical runs wrote different scorecards"; exit 1; }
-"$BENCH" --resilience-out "$tmp/jobs4.json" --jobs 4 > /dev/null
-cmp "$tmp/resilience.json" "$tmp/jobs4.json" \
-  || { echo "FAIL: --jobs 4 scorecard differs from --jobs 1"; exit 1; }
+artifacts jobs4 --jobs 4 > /dev/null
+for a in resilience.json metrics.prom flight.jsonl slo.json energy.json; do
+  cmp "$tmp/jobs1.$a" "$tmp/jobs4.$a" \
+    || { echo "FAIL: --jobs 4 $a differs from --jobs 1"; exit 1; }
+done
 
 # Scorecard gates.
 by() {
-  jq -r ".campaigns[] | select(.variant == \"$1\") | .$2" \
-    "$tmp/resilience.json"
+  jq -r ".campaigns[] | select(.variant == \"$1\") | .$2" "$scorecard"
 }
 base_burn=$(by baseline slo_burn_during)
 hard_burn=$(by hardened slo_burn_during)

@@ -1,5 +1,7 @@
 #include "common/json.hpp"
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
@@ -60,6 +62,36 @@ std::string Value::string_or(const std::string& key,
   if (!contains(key)) return fallback;
   const Value& v = object_->at(key);
   return v.type() == Type::kString ? v.as_string() : fallback;
+}
+
+long long Value::as_integer(const std::string& key, long long lo,
+                           long long hi) const {
+  CAPGPU_REQUIRE(lo <= hi && -kMaxExactInteger <= lo && hi <= kMaxExactInteger,
+                 "integer range must lie within +-2^53");
+  if (type_ == Type::kNumber && std::isfinite(number_) &&
+      number_ == std::floor(number_) && number_ >= static_cast<double>(lo) &&
+      number_ <= static_cast<double>(hi)) {
+    return static_cast<long long>(number_);
+  }
+  std::string got = "a non-number";
+  if (type_ == Type::kNumber) {
+    // Fewest digits that still show the value exactly (1.9, not
+    // 1.8999999999999999; 2.0000000000000004, not 2).
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.15g", number_);
+    if (std::strtod(buf, nullptr) != number_) {
+      std::snprintf(buf, sizeof buf, "%.17g", number_);
+    }
+    got = buf;
+  }
+  throw InvalidArgument("JSON member '" + key + "' must be an integer in [" +
+                        std::to_string(lo) + ", " + std::to_string(hi) +
+                        "], got " + got);
+}
+
+long long Value::integer_or(const std::string& key, long long fallback,
+                            long long lo, long long hi) const {
+  return contains(key) ? object_->at(key).as_integer(key, lo, hi) : fallback;
 }
 
 namespace {
@@ -269,6 +301,40 @@ Value parse_prefix(const std::string& text, std::size_t& pos) {
   Value v = parser.parse_value();
   pos = parser.pos();
   return v;
+}
+
+std::string render_number(double v) {
+  if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 1e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+    return buf;
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.10g", std::isfinite(v) ? v : 0.0);
+  return buf;
+}
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace capgpu::json

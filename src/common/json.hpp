@@ -3,12 +3,17 @@
 // artifact; tests read --summary-out). Parses the full JSON grammar into a
 // small value tree; throws InvalidArgument with position info on malformed
 // input. Not a performance-critical path — clarity over speed.
+//
+// Also the two primitives every JSON artifact writer shares (render_number,
+// escape), so the trace, SLO, resilience, energy and flight writers spell
+// numbers and strings the same way.
 #pragma once
 
 #include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace capgpu::json {
@@ -53,6 +58,18 @@ class Value {
   [[nodiscard]] std::string string_or(const std::string& key,
                                       const std::string& fallback) const;
 
+  /// This number as an integer in [lo, hi] — the checked read for counts
+  /// and int fields of outside documents, where a cast of a negative,
+  /// fractional, non-finite or out-of-range double would be undefined or
+  /// silently truncate. Throws InvalidArgument naming `key` otherwise.
+  /// [lo, hi] must lie within +-2^53, where a double holds every integer.
+  [[nodiscard]] long long as_integer(const std::string& key, long long lo,
+                                     long long hi) const;
+  /// Member `key` through as_integer(), or `fallback` when absent.
+  [[nodiscard]] long long integer_or(const std::string& key,
+                                     long long fallback, long long lo,
+                                     long long hi) const;
+
  private:
   Type type_{Type::kNull};
   bool bool_{false};
@@ -68,5 +85,18 @@ class Value {
 /// Parses one document from `text` starting at `pos`, advancing `pos` past
 /// it (JSONL: call per line, or repeatedly on a concatenated stream).
 [[nodiscard]] Value parse_prefix(const std::string& text, std::size_t& pos);
+
+/// Largest integer range a double represents exactly (2^53): the `hi` of
+/// as_integer() for size_t counts.
+inline constexpr long long kMaxExactInteger = 9007199254740992LL;
+
+/// Shortest stable number rendering of the report writers: integral values
+/// below 1e15 print as integers, the rest at %.10g, non-finite as 0.
+[[nodiscard]] std::string render_number(double v);
+
+/// `s` escaped for a JSON string body (no surrounding quotes): quote,
+/// backslash, \n, \r and \t get their short escapes, every other control
+/// character a \u00XX escape.
+[[nodiscard]] std::string escape(std::string_view s);
 
 }  // namespace capgpu::json

@@ -1,11 +1,9 @@
 #include "core/rig.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
-#include <algorithm>
-#include <optional>
-#include "telemetry/energy.hpp"
 #include "telemetry/flight.hpp"
 #include "telemetry/metric_names.hpp"
 #include "telemetry/metrics.hpp"
@@ -286,19 +284,7 @@ RunResult ServerRig::run(baselines::IServerPowerController& policy,
 
   const double period_s = options.loop.period.value;
 
-  // Energy attribution: one ledger per run, fed from the *pristine* meter
-  // (chaos runs integrate the true plant, not the faulted readings) and the
-  // streams' per-batch energy captures.
-  std::optional<telemetry::EnergyLedger> ledger;
-  double last_meter_w = 0.0;
-  if (options.energy_attribution) {
-    std::vector<std::string> names;
-    names.reserve(streams_.size());
-    for (const auto& s : streams_) names.push_back(s->model().name);
-    ledger.emplace(policy.name(), trace_pid_, streams_.size(),
-                   std::move(names));
-    for (auto& s : streams_) s->set_energy_recording(true);
-  }
+  if (options.energy_attribution) attribute_energy(policy.name());
 
   auto& tracer = telemetry::Tracer::current();
   loop.on_period = [&](std::size_t index) {
@@ -374,35 +360,10 @@ RunResult ServerRig::run(baselines::IServerPowerController& policy,
                           {"slow_burn", monitor.slow_burn()}});
         }
       }
-      lat.trim(now);
-      s.images_throughput().trim(now);
-      s.queue_delay().trim(now);
-      s.preprocess_latency().trim(now);
     }
     result.cpu_throughput.add(now, cpu_task_->throughput().rate(now, period_s));
     result.cpu_latency.add(now, cpu_task_->subset_latency().mean(now, period_s));
-    cpu_task_->throughput().trim(now);
-    cpu_task_->subset_latency().trim(now);
-
-    if (ledger) {
-      // Integrate the pristine meter over the period. A sensor gap (only
-      // possible on exotic meter configs — fault plans wrap, not replace,
-      // this meter) holds the previous reading so the integral stays
-      // continuous.
-      double avg_w = last_meter_w;
-      try {
-        avg_w = hal_->power_meter().average(Seconds{period_s}).value;
-      } catch (const HalError&) {
-      }
-      last_meter_w = avg_w;
-      ledger->begin_period(policy.set_point().value, avg_w, period_s);
-      for (std::size_t i = 0; i < streams_.size(); ++i) {
-        auto& batches = streams_[i]->energy_batches();
-        ledger->add_batches(i, batches.data(), batches.size());
-        batches.clear();
-      }
-      ledger->end_period();
-    }
+    end_period(policy.set_point().value, period_s);
   };
 
   loop.start();
@@ -410,9 +371,7 @@ RunResult ServerRig::run(baselines::IServerPowerController& policy,
       engine_.now() + static_cast<double>(options.periods) * period_s + 1e-3;
   engine_.run_until(t_end);
   loop.stop();
-  // Push any batches deferred since the last control tick into the
-  // sketches before the registry is read (exporters, summary, SLO report).
-  for (auto& s : streams_) s->flush_stage_stats();
+  settle();
 
   CAPGPU_ASSERT(loop.periods_elapsed() == options.periods);
   result.power = loop.power_trace();
@@ -451,19 +410,52 @@ RunResult ServerRig::run(baselines::IServerPowerController& policy,
     entry.episodes = std::move(burn_episodes[i]);
     telemetry::SloRegistry::current().add(std::move(entry));
   }
-
-  // Energy accounting: per-{cap,model} attribution entries + per-cap
-  // efficiency summaries (--energy-out renders these). Batches completing
-  // in the 1 ms run-out after the final control tick fall outside the
-  // integrated meter window and are dropped with it.
-  if (ledger) {
-    for (auto& s : streams_) {
-      s->set_energy_recording(false);
-      s->energy_batches().clear();
-    }
-    ledger->finalize(telemetry::EnergyRegistry::current());
-  }
   return result;
+}
+
+void ServerRig::attribute_energy(const std::string& policy) {
+  std::vector<std::string> names;
+  names.reserve(streams_.size());
+  for (const auto& s : streams_) names.push_back(s->model().name);
+  ledger_.emplace(policy, trace_pid_, streams_.size(), std::move(names));
+  for (auto& s : streams_) s->set_energy_recording(true);
+}
+
+void ServerRig::end_period(double set_point_w, double period_s) {
+  const double now = engine_.now();
+  if (ledger_) {
+    double avg_w = last_meter_w_;
+    try {
+      avg_w = hal_->power_meter().average(Seconds{period_s}).value;
+    } catch (const HalError&) {
+    }
+    last_meter_w_ = avg_w;
+    ledger_->begin_period(set_point_w, avg_w, period_s);
+    for (std::size_t i = 0; i < streams_.size(); ++i) {
+      auto& batches = streams_[i]->energy_batches();
+      ledger_->add_batches(i, batches.data(), batches.size());
+      batches.clear();
+    }
+    ledger_->end_period();
+  }
+  for (auto& s : streams_) {
+    s->batch_latency().trim(now);
+    s->images_throughput().trim(now);
+    s->queue_delay().trim(now);
+    s->preprocess_latency().trim(now);
+  }
+  cpu_task_->throughput().trim(now);
+  cpu_task_->subset_latency().trim(now);
+}
+
+void ServerRig::settle() {
+  for (auto& s : streams_) s->flush_stage_stats();
+  if (!ledger_) return;
+  for (auto& s : streams_) {
+    s->set_energy_recording(false);
+    s->energy_batches().clear();
+  }
+  ledger_->finalize(telemetry::EnergyRegistry::current());
 }
 
 }  // namespace capgpu::core

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "baselines/controller_iface.hpp"
@@ -23,6 +24,7 @@
 #include "hal/server_hal.hpp"
 #include "hw/server_model.hpp"
 #include "sim/engine.hpp"
+#include "telemetry/energy.hpp"
 #include "telemetry/slo.hpp"
 #include "telemetry/stats.hpp"
 #include "telemetry/timeseries.hpp"
@@ -180,6 +182,31 @@ class ServerRig {
   [[nodiscard]] RunResult run(baselines::IServerPowerController& policy,
                               const RunOptions& options);
 
+  // --- Per-period bookkeeping shared by every driver of this rig ---------
+  // run() uses these, and so does any driver that runs its own
+  // ControlLoop over the rig (fleet::run_fleet, the rack campaign).
+
+  /// Turns on per-request energy attribution: one ledger over every stream
+  /// of this rig, credited to `policy`, fed by end_period() and finalized
+  /// by settle().
+  void attribute_energy(const std::string& policy);
+
+  /// Closes one control period once the driver has read its monitors.
+  /// With attribution on, integrates the *pristine* meter over the period
+  /// (a sensor gap holds the previous reading so the integral stays
+  /// continuous; chaos runs integrate the true plant, not the faulted
+  /// readings) at cap `set_point_w`, and drains the streams' completed
+  /// batches into the ledger. Then trims every monitor to its retention
+  /// horizon.
+  void end_period(double set_point_w, double period_s);
+
+  /// Settles the rig after its loop stops: pushes stage stats deferred
+  /// since the last control tick into the sketches, then finalizes the
+  /// energy ledger into EnergyRegistry::current(). Batches completing
+  /// after the final tick fall outside the integrated meter window and are
+  /// dropped with it.
+  void settle();
+
  private:
   RigConfig config_;
   sim::Engine engine_;
@@ -191,6 +218,8 @@ class ServerRig {
   std::vector<std::unique_ptr<workload::InferenceStream>> streams_;
   std::vector<std::unique_ptr<workload::ArrivalProcess>> arrivals_;
   std::unique_ptr<workload::CpuTaskSim> cpu_task_;
+  std::optional<telemetry::EnergyLedger> ledger_;
+  double last_meter_w_{0.0};
   int trace_pid_{0};
   bool ran_{false};
 };

@@ -1,20 +1,13 @@
-// Declarative chaos campaigns with resilience scoring.
+// Declarative chaos campaigns: the campaign document.
 //
-// A campaign is a staged fault timeline over a rack of CapGPU-capped rigs:
-// a JSON document names the domain topology, the workload shape, the
+// A campaign is a staged fault timeline over CapGPU-capped rigs: a JSON
+// document names the domain topology, the workload shape, the
 // coordinator's health-management knobs, and a list of stages, each
 // attaching one scripted fault (faults::DomainFault) to one domain node.
-// run_campaign() assembles the rack — one single-GPU rig per leaf of the
-// DomainTree, each driven by its own hardened control loop — executes the
-// timeline as engine events, and scores every stage into a
-// telemetry::ResilienceEntry (MTTR, SLO error-budget burned during and
-// after the fault, recovery overshoot, fail-safe dwell), pushed into
-// ResilienceRegistry::current() so --resilience-out renders the scorecard.
-//
-// The A/B the acceptance test cares about: the same campaign run with
-// coordinator health management on (`health_managed = true`) must burn
-// strictly less error budget than with it off — quarantining dark rigs at
-// their minimum frees budget for the healthy, burning ones.
+// This header is the document model and its parser; the drivers that run
+// and score a campaign live in the fleet layer (fleet/campaign.hpp:
+// run_rack_campaign for the rack A/B, run_fleet_campaign for a whole
+// FleetSim).
 #pragma once
 
 #include <cstddef>
@@ -25,7 +18,6 @@
 #include "faults/domain_tree.hpp"
 #include "rack/allocation.hpp"
 #include "rack/coordinator.hpp"
-#include "telemetry/resilience.hpp"
 
 namespace capgpu::faults {
 
@@ -55,39 +47,20 @@ struct CampaignConfig {
   /// at a single-resnet50 rig's feasible floor (~500 W at minimum clocks),
   /// so a quarantined rig's pinned budget is watts it actually stops using.
   rack::AllocationBounds bounds{500.0, 650.0};
-  /// Health-management knobs; `enabled` is overridden by the
-  /// `health_managed` argument of run_campaign().
+  /// Health-management knobs; `enabled` is overridden by the driver
+  /// (fleet::run_rack_campaign's `health_managed`, always on for
+  /// fleet::run_fleet_campaign).
   rack::RigHealthConfig health{};
   std::vector<CampaignStage> stages;
 };
 
 /// Parses a campaign JSON document (see docs/fault_model.md for the
 /// schema). Throws InvalidArgument on malformed JSON, unknown fault
-/// kinds, bad domain paths, or out-of-domain numbers.
+/// kinds, bad domain paths, out-of-domain numbers, or a count that is not
+/// a non-negative integer (naming its key).
 [[nodiscard]] CampaignConfig parse_campaign(const std::string& json_text);
 
 /// Checks the config's domain; throws InvalidArgument naming the field.
 [[nodiscard]] CampaignConfig validated(CampaignConfig config);
-
-/// Aggregate outcome of one campaign run (per-stage scorecards land in
-/// telemetry::ResilienceRegistry::current()).
-struct CampaignResult {
-  std::string variant;  ///< "hardened" or "baseline"
-  /// Lifetime error-budget fraction consumed, summed misses over summed
-  /// checks across every rig: (miss rate) / (1 - objective).
-  double total_burn{0.0};
-  double mean_rack_power_w{0.0};
-  double rack_images{0.0};  ///< images completed across all rigs
-  std::size_t failsafe_engagements{0};
-  std::size_t health_transitions{0};
-  std::vector<telemetry::ResilienceEntry> stages;  ///< copy of the entries
-};
-
-/// Runs the campaign once. `health_managed` switches the coordinator's
-/// rig-health layer (the control loops are always hardened — the A/B
-/// isolates the coordinator's contribution). Scorecards are appended to
-/// ResilienceRegistry::current() with variant "hardened" / "baseline".
-[[nodiscard]] CampaignResult run_campaign(const CampaignConfig& config,
-                                          bool health_managed);
 
 }  // namespace capgpu::faults

@@ -10,12 +10,10 @@
 #include "core/capgpu_controller.hpp"
 #include "core/control_loop.hpp"
 #include "core/rig.hpp"
-#include "hal/server_hal.hpp"
 #include "runner/thread_pool.hpp"
+#include "telemetry/context.hpp"
 #include "telemetry/metric_names.hpp"
 #include "telemetry/runtime.hpp"
-#include "telemetry/scope.hpp"
-#include "telemetry/slo.hpp"
 #include "workload/model_zoo.hpp"
 
 namespace capgpu::fleet {
@@ -48,18 +46,16 @@ FleetConfig validated(FleetConfig config) {
 
 namespace {
 
-/// One rig of the fleet: its private telemetry scope (null on the serial
-/// reference path), the testbed, the hardened loop, and the fleet-side
-/// accounting mirrors of faults::run_campaign's RigRun.
+/// One rig of a fleet or rack run: its private telemetry context (null
+/// when the run is unscoped), the testbed, the hardened loop, and the
+/// driver-side SLO and budget accounting.
 struct FleetRig {
-  std::unique_ptr<telemetry::ScenarioTelemetry> scope;
+  std::unique_ptr<telemetry::Context> scope;
   std::unique_ptr<core::ServerRig> rig;
   std::unique_ptr<core::CapGpuController> controller;
   std::unique_ptr<core::ControlLoop> loop;
   std::unique_ptr<telemetry::SloBurnMonitor> monitor;
-  std::optional<telemetry::EnergyLedger> ledger;
   double last_budget_w{0.0};
-  double last_meter_w{0.0};
   double images{0.0};
   std::exception_ptr error;
 };
@@ -69,8 +65,8 @@ double last_power(const core::ControlLoop& loop) {
                                     : loop.power_trace().values().back();
 }
 
-/// Builds and starts one rig. Must run with the rig's telemetry scope
-/// bound (sharded path) or in the caller's scope (serial reference) so the
+/// Builds and starts one rig. Must run with the rig's telemetry context
+/// bound (sharded path) or in the caller's context (unscoped runs) so the
 /// loop/monitor/ledger metric handles land in the right registry.
 void build_rig(const FleetConfig& cfg, const faults::DomainTree& tree,
                std::size_t i, double initial_budget_w, FleetRig& out) {
@@ -96,13 +92,7 @@ void build_rig(const FleetConfig& cfg, const faults::DomainTree& tree,
   out.monitor =
       std::make_unique<telemetry::SloBurnMonitor>(telemetry::SloBurnConfig{});
   out.last_budget_w = initial_budget_w;
-  if (cfg.energy_attribution) {
-    out.ledger.emplace(out.controller->name(), rig_ptr->trace_pid(),
-                       std::size_t{1},
-                       std::vector<std::string>{
-                           rig_ptr->stream(0).model().name});
-    rig_ptr->stream(0).set_energy_recording(true);
-  }
+  if (cfg.energy_attribution) rig_ptr->attribute_energy(out.controller->name());
 
   auto* mon = out.monitor.get();
   auto* ctl = out.controller.get();
@@ -119,31 +109,13 @@ void build_rig(const FleetConfig& cfg, const faults::DomainTree& tree,
     mon->record(now, cnt, misses);
     fr->images += s.images_throughput().rate(now, period_s) * period_s;
     (void)s.take_stage_period_means();
-    if (fr->ledger) {
-      // Integrate the pristine meter; a sensor gap holds the previous
-      // reading so the integral stays continuous (cf. ServerRig::run).
-      double avg_w = fr->last_meter_w;
-      try {
-        avg_w = rig_ptr->hal().power_meter().average(Seconds{period_s}).value;
-      } catch (const HalError&) {
-      }
-      fr->last_meter_w = avg_w;
-      fr->ledger->begin_period(ctl->set_point().value, avg_w, period_s);
-      auto& batches = s.energy_batches();
-      fr->ledger->add_batches(0, batches.data(), batches.size());
-      batches.clear();
-      fr->ledger->end_period();
-    }
-    lat.trim(now);
-    s.images_throughput().trim(now);
-    s.queue_delay().trim(now);
-    s.preprocess_latency().trim(now);
+    rig_ptr->end_period(ctl->set_point().value, period_s);
   };
   out.loop->start();
 }
 
-/// The coordinator endpoint for one rig — the same wiring chaos campaigns
-/// use, so the rack tier sees identical signals under fleet scheduling.
+/// The coordinator endpoint for one rig: the signals the rack tier reads,
+/// identical under fleet and rack scheduling.
 rack::ServerEndpoint make_endpoint(const FleetConfig& cfg,
                                    const faults::DomainTree& tree,
                                    std::size_t i, FleetRig& r) {
@@ -313,8 +285,41 @@ FleetPeriodSnap take_snap(
   return snap;
 }
 
+/// Ends one rig's run: stops its loop and settles the rig (deferred stage
+/// stats flushed, energy ledger finalized into the current context).
+void finish(FleetRig& fr) {
+  fr.loop->stop();
+  fr.rig->settle();
+}
+
+/// Run-wide tallies: rig counters summed in topology order, the
+/// coordinators' health logs concatenated in rack order, and the mean
+/// power over the snapshots.
+void tally(const std::vector<FleetRig>& rigs,
+           const std::vector<std::unique_ptr<rack::RackCoordinator>>& coords,
+           FleetResult& result) {
+  result.objective = rigs[0].monitor->config().objective;
+  for (const FleetRig& fr : rigs) {
+    result.images += fr.images;
+    result.checked += fr.monitor->checked_total();
+    result.missed += fr.monitor->missed_total();
+    const auto* fs = fr.loop->failsafe();
+    if (fs != nullptr) result.failsafe_engagements += fs->engagements();
+  }
+  for (const auto& c : coords) {
+    const auto& log = c->health_log();
+    result.health_log.insert(result.health_log.end(), log.begin(),
+                             log.end());
+  }
+  if (!result.snaps.empty()) {
+    double sum = 0.0;
+    for (const auto& s : result.snaps) sum += s.fleet_power_w;
+    result.mean_power_w = sum / static_cast<double>(result.snaps.size());
+  }
+}
+
 /// The epoch driver shared by the sharded scenario and the serial
-/// reference. `scoped` selects per-rig ScenarioTelemetry isolation plus
+/// reference. `scoped` selects per-rig telemetry::Context isolation plus
 /// (when jobs > 1) pool execution; unscoped runs serially in the caller's
 /// telemetry, exactly as a hand-rolled loop over ServerRigs would.
 FleetResult run_fleet(const FleetConfig& cfg, const faults::DomainTree& tree,
@@ -324,17 +329,8 @@ FleetResult run_fleet(const FleetConfig& cfg, const faults::DomainTree& tree,
   const std::size_t racks = topo.total_racks();
   const std::size_t rigs_per_rack = topo.pdus_per_rack * topo.rigs_per_pdu;
 
-  // Merge targets: whatever telemetry is current on the launching thread.
-  telemetry::MetricsRegistry& parent_metrics =
-      telemetry::MetricsRegistry::current();
-  telemetry::Tracer& parent_tracer = telemetry::Tracer::current();
-  telemetry::SloRegistry& parent_slo = telemetry::SloRegistry::current();
-  telemetry::FlightRecorder& parent_flight =
-      telemetry::FlightRecorder::current();
-  telemetry::ResilienceRegistry& parent_resilience =
-      telemetry::ResilienceRegistry::current();
-  telemetry::EnergyRegistry& parent_energy =
-      telemetry::EnergyRegistry::current();
+  // Merge target: the context current on the launching thread.
+  telemetry::Context& parent = telemetry::Context::current();
 
   // Contiguous topology-order shard ranges.
   if (!scoped) shards = 1;
@@ -356,13 +352,10 @@ FleetResult run_fleet(const FleetConfig& cfg, const faults::DomainTree& tree,
 
   std::vector<FleetRig> rigs(n);
   double epoch_now = 0.0;
-  std::optional<telemetry::ScenarioTelemetry> fleet_scope;
+  std::unique_ptr<telemetry::Context> fleet_scope;
   if (scoped) {
-    for (auto& fr : rigs) {
-      fr.scope = std::make_unique<telemetry::ScenarioTelemetry>(
-          parent_tracer, parent_flight);
-    }
-    fleet_scope.emplace(parent_tracer, parent_flight);
+    for (auto& fr : rigs) fr.scope = telemetry::Context::child_of(parent);
+    fleet_scope = telemetry::Context::child_of(parent);
     // Cascade instants carry the epoch time. The serial reference leaves
     // the caller's clock alone; its instants read the caller's time
     // source, which at the barrier sits at the same epoch boundary.
@@ -385,7 +378,7 @@ FleetResult run_fleet(const FleetConfig& cfg, const faults::DomainTree& tree,
           for (std::size_t i = ranges[s].begin; i < ranges[s].end; ++i) {
             FleetRig& fr = rigs[i];
             if (fr.error) continue;
-            std::optional<telemetry::ScenarioTelemetry::Binding> bind;
+            std::optional<telemetry::Context::Binding> bind;
             if (scoped) bind.emplace(*fr.scope);
             // This worker's thread-local log clock still points at
             // whichever rig it last *built*, possibly one another worker
@@ -409,13 +402,8 @@ FleetResult run_fleet(const FleetConfig& cfg, const faults::DomainTree& tree,
       };
   auto merge_all = [&](std::size_t count) {
     if (!scoped) return;
-    for (std::size_t i = 0; i < count; ++i) {
-      rigs[i].scope->merge_into(parent_metrics, parent_tracer, parent_slo,
-                                parent_flight, parent_resilience,
-                                parent_energy);
-    }
-    fleet_scope->merge_into(parent_metrics, parent_tracer, parent_slo,
-                            parent_flight, parent_resilience, parent_energy);
+    for (std::size_t i = 0; i < count; ++i) rigs[i].scope->merge_into(parent);
+    fleet_scope->merge_into(parent);
   };
   // Barrier epilogue: rethrow the lowest-index error, merging the rigs
   // below it first — the telemetry a serial run would have accumulated
@@ -460,7 +448,7 @@ FleetResult run_fleet(const FleetConfig& cfg, const faults::DomainTree& tree,
     epoch_clock.owner = &epoch_now;
   };
   {
-    std::optional<telemetry::ScenarioTelemetry::Binding> bind;
+    std::optional<telemetry::Context::Binding> bind;
     if (scoped) bind.emplace(*fleet_scope);
     attach_epoch_clock();
     fm = register_fleet_metrics(topo);
@@ -486,8 +474,8 @@ FleetResult run_fleet(const FleetConfig& cfg, const faults::DomainTree& tree,
   result.snaps.reserve(cfg.periods);
 
   // Lockstep epochs: parallel rig-step phase, barrier, then the cascade
-  // and the snapshot on the epoch thread. Mirrors faults::run_campaign's
-  // clock arithmetic (now accumulates per rig; the cascade sees k * T).
+  // and the snapshot on the epoch thread. Same clock arithmetic as
+  // run_rack (now accumulates per rig; the cascade sees k * T).
   double budget_in_force = cfg.facility_budget_w;
   for (std::size_t k = 1; k <= cfg.periods; ++k) {
     shard_pass([&](FleetRig& fr, std::size_t) {
@@ -497,7 +485,7 @@ FleetResult run_fleet(const FleetConfig& cfg, const faults::DomainTree& tree,
     const double now = static_cast<double>(k) * cfg.period_s;
     epoch_now = now;
     {
-      std::optional<telemetry::ScenarioTelemetry::Binding> bind;
+      std::optional<telemetry::Context::Binding> bind;
       if (scoped) bind.emplace(*fleet_scope);
       // With no pool the step phase ran inline above and detached this
       // thread's clock; with a pool the attachment survived. Either way
@@ -515,42 +503,15 @@ FleetResult run_fleet(const FleetConfig& cfg, const faults::DomainTree& tree,
     }
   }
 
-  // Final phase: stop the loops and settle the ledgers, still sharded and
-  // still under each rig's scope (the ledger finalizes into the rig's own
-  // EnergyRegistry, which merges in topology order below).
-  shard_pass([&](FleetRig& fr, std::size_t) {
-    fr.loop->stop();
-    auto& s = fr.rig->stream(0);
-    s.flush_stage_stats();
-    if (fr.ledger) {
-      s.set_energy_recording(false);
-      s.energy_batches().clear();
-      fr.ledger->finalize(telemetry::EnergyRegistry::current());
-    }
-  });
+  // Final phase, still sharded and still under each rig's context: the
+  // ledger finalizes into the rig's own EnergyRegistry, which merges in
+  // topology order below.
+  shard_pass([&](FleetRig& fr, std::size_t) { finish(fr); });
   rethrow_first_error();
-
-  result.objective = rigs[0].monitor->config().objective;
-  for (std::size_t i = 0; i < n; ++i) {
-    result.images += rigs[i].images;
-    result.checked += rigs[i].monitor->checked_total();
-    result.missed += rigs[i].monitor->missed_total();
-    const auto* fs = rigs[i].loop->failsafe();
-    if (fs != nullptr) result.failsafe_engagements += fs->engagements();
-  }
-  for (const auto& c : coords) {
-    const auto& log = c->health_log();
-    result.health_log.insert(result.health_log.end(), log.begin(),
-                             log.end());
-  }
-  if (!result.snaps.empty()) {
-    double sum = 0.0;
-    for (const auto& s : result.snaps) sum += s.fleet_power_w;
-    result.mean_power_w = sum / static_cast<double>(result.snaps.size());
-  }
+  tally(rigs, coords, result);
 
   result.base_pid =
-      (scoped ? parent_tracer.pid() : 0) + rigs[0].rig->trace_pid();
+      (scoped ? parent.tracer().pid() : 0) + rigs[0].rig->trace_pid();
   merge_all(n);
   return result;
 }
@@ -587,6 +548,52 @@ FleetResult run_serial_reference(
   faults::DomainTree tree(cfg.topology, cfg.seed);
   for (const auto& f : fault_list) tree.add_fault(f.first, f.second);
   return run_fleet(cfg, tree, 1, 1, /*scoped=*/false);
+}
+
+FleetResult run_rack(const FleetConfig& config,
+                     const faults::DomainTree& tree) {
+  const FleetConfig cfg = validated(config);
+  const std::size_t n = tree.rig_count();
+  // The coordinator precedes the rigs, and each rig registers with it as
+  // soon as it is built: that order fixes the metric export order and the
+  // trace's pids and tracks.
+  std::vector<std::unique_ptr<rack::RackCoordinator>> coords;
+  coords.push_back(std::make_unique<rack::RackCoordinator>(
+      Watts{cfg.facility_budget_w}, rack::RackPolicy::kDemandProportional));
+  rack::RackCoordinator& coord = *coords.front();
+  if (cfg.health.enabled) coord.set_health_config(cfg.health);
+  std::vector<FleetRig> rigs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    build_rig(cfg, tree, i, cfg.facility_budget_w / static_cast<double>(n),
+              rigs[i]);
+    coord.add_server(make_endpoint(cfg, tree, i, rigs[i]));
+  }
+
+  FleetResult result;
+  result.rigs = n;
+  result.epochs = cfg.periods;
+  result.snaps.reserve(cfg.periods);
+  // Lockstep drive: advance every rig one control period, then rebalance
+  // on the cadence with the sim clock (so the health watchdogs'
+  // second-denominated deadlines mean what they say). Budget events scale
+  // the whole rack budget at rebalance granularity.
+  double budget_in_force = cfg.facility_budget_w;
+  for (std::size_t k = 1; k <= cfg.periods; ++k) {
+    for (FleetRig& fr : rigs) {
+      fr.rig->engine().run_until(fr.rig->engine().now() + cfg.period_s);
+    }
+    const double now = static_cast<double>(k) * cfg.period_s;
+    if (k % cfg.rebalance_every == 0) {
+      budget_in_force = cfg.facility_budget_w * tree.budget_scale(now);
+      coord.set_rack_budget(Watts{budget_in_force});
+      coord.rebalance(now);
+    }
+    result.snaps.push_back(take_snap(rigs, coords, now, budget_in_force));
+  }
+  for (FleetRig& fr : rigs) finish(fr);
+  tally(rigs, coords, result);
+  result.base_pid = rigs[0].rig->trace_pid();
+  return result;
 }
 
 }  // namespace capgpu::fleet

@@ -10,12 +10,13 @@
 //
 // Determinism is the contract, not a best effort: each rig's telemetry
 // (metrics, traces, SLO entries, flight records, energy ledger) accumulates
-// in a private telemetry::ScenarioTelemetry scope and is merged in fixed
-// topology order after the run, and every cascade input is sampled at a
-// barrier. Prometheus/energy/flight exports and the cascade decisions are
+// in a private telemetry::Context and is merged in fixed topology order
+// after the run, and every cascade input is sampled at a barrier.
+// Prometheus/energy/flight exports and the cascade decisions are
 // byte-identical for any --shards/--jobs combination, and the decisions
 // are bit-equal to run_serial_reference(), which executes the same model
-// serially in the caller's telemetry scope with no pool and no scopes.
+// serially in the caller's telemetry context with no pool and no private
+// contexts.
 #pragma once
 
 #include <cstddef>
@@ -81,9 +82,8 @@ struct FleetDecisionRecord {
   }
 };
 
-/// Per-epoch observation of the whole fleet (per-rig vectors are in
-/// topology order — the same shape faults::run_campaign snapshots, so the
-/// fleet chaos campaign scores with the same rules).
+/// Per-epoch observation of the whole fleet or rack (per-rig vectors are
+/// in topology order): what the chaos-campaign scorer reads.
 struct FleetPeriodSnap {
   double t{0.0};
   double fleet_power_w{0.0};
@@ -141,12 +141,22 @@ class FleetSim {
 };
 
 /// The serial reference: same rigs, same cascade, same epoch arithmetic,
-/// executed one rig at a time in the caller's telemetry scope with no
-/// thread pool and no scenario scopes. The perf baseline, and the oracle
+/// executed one rig at a time in the caller's telemetry context with no
+/// thread pool and no scenario contexts. The perf baseline, and the oracle
 /// the sharded path must match bit-for-bit.
 [[nodiscard]] FleetResult run_serial_reference(
     const FleetConfig& config,
     const std::vector<std::pair<std::string, faults::DomainFault>>&
         fault_list = {});
+
+/// One rack-level run: the same rigs and epoch arithmetic as the fleet,
+/// but every rig of `tree` answers to a single RackCoordinator (health
+/// management per config.health.enabled) and there is no cascade — the
+/// whole budget, config.facility_budget_w, scales by every budget event
+/// in force (DomainTree::budget_scale) at each rebalance. Runs serially in
+/// the caller's telemetry context; no fleet metrics, no fleet trace
+/// process. The plant of the rack chaos campaign (run_rack_campaign).
+[[nodiscard]] FleetResult run_rack(const FleetConfig& config,
+                                   const faults::DomainTree& tree);
 
 }  // namespace capgpu::fleet

@@ -3,7 +3,7 @@
 #include <exception>
 #include <memory>
 
-#include "telemetry/scope.hpp"
+#include "telemetry/context.hpp"
 
 namespace capgpu::runner {
 
@@ -14,22 +14,13 @@ void ScenarioRunner::run(std::size_t count,
                          const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
 
-  // Merge targets: whatever telemetry is current on the launching thread
-  // (the process singletons in a bench, a test's private instances when it
-  // installed its own scope).
-  telemetry::MetricsRegistry& parent_metrics =
-      telemetry::MetricsRegistry::current();
-  telemetry::Tracer& parent_tracer = telemetry::Tracer::current();
-  telemetry::SloRegistry& parent_slo = telemetry::SloRegistry::current();
-  telemetry::FlightRecorder& parent_flight =
-      telemetry::FlightRecorder::current();
-  telemetry::ResilienceRegistry& parent_resilience =
-      telemetry::ResilienceRegistry::current();
-  telemetry::EnergyRegistry& parent_energy =
-      telemetry::EnergyRegistry::current();
+  // Merge target: the context current on the launching thread (the
+  // process-wide one in a bench, a test's private one when it bound its
+  // own).
+  telemetry::Context& parent = telemetry::Context::current();
 
   struct ScenarioState {
-    std::unique_ptr<telemetry::ScenarioTelemetry> telemetry;
+    std::unique_ptr<telemetry::Context> telemetry;
     std::exception_ptr error;
     bool ran{false};
   };
@@ -41,9 +32,8 @@ void ScenarioRunner::run(std::size_t count,
   // between --jobs values.
   auto run_one = [&](std::size_t i) {
     ScenarioState& state = states[i];
-    state.telemetry = std::make_unique<telemetry::ScenarioTelemetry>(
-        parent_tracer, parent_flight);
-    telemetry::ScenarioTelemetry::Binding bind(*state.telemetry);
+    state.telemetry = telemetry::Context::child_of(parent);
+    telemetry::Context::Binding bind(*state.telemetry);
     state.ran = true;
     try {
       body(i);
@@ -66,9 +56,7 @@ void ScenarioRunner::run(std::size_t count,
     ScenarioState& state = states[i];
     if (state.error) std::rethrow_exception(state.error);
     if (state.ran) {
-      state.telemetry->merge_into(parent_metrics, parent_tracer, parent_slo,
-                                  parent_flight, parent_resilience,
-                                  parent_energy);
+      state.telemetry->merge_into(parent);
       ++scenarios_merged_;
     }
   }

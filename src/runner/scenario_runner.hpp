@@ -9,11 +9,10 @@
 //
 // Determinism contract (see docs/performance.md):
 //  - results are merged in scenario-index order, never completion order;
-//  - each scenario runs under a private telemetry scope
-//    (telemetry::ScenarioTelemetry): all MetricsRegistry::current() /
-//    Tracer::current() instrumentation lands in per-scenario instances,
-//    which are folded into the launching thread's registry/tracer in index
-//    order after the join — Prometheus and Chrome-trace exports are
+//  - each scenario runs under a private telemetry::Context: all
+//    MetricsRegistry::current() / Tracer::current() / ... instrumentation
+//    lands in per-scenario sinks, which are folded into the launching
+//    thread's context in index order after the join — every export is
 //    byte-identical for any worker count;
 //  - scenario bodies must not touch shared mutable state (no stdout —
 //    return printable rows instead) and must derive all randomness from

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
+#include "telemetry/context.hpp"
 #include "telemetry/metric_names.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/sketch.hpp"
@@ -154,28 +155,6 @@ void EnergyLedger::finalize(EnergyRegistry& registry) const {
   }
 }
 
-namespace {
-thread_local EnergyRegistry* t_current_energy_registry = nullptr;
-}  // namespace
-
-EnergyRegistry& EnergyRegistry::global() {
-  static EnergyRegistry registry;
-  return registry;
-}
-
-EnergyRegistry& EnergyRegistry::current() {
-  return t_current_energy_registry ? *t_current_energy_registry : global();
-}
-
-EnergyRegistry::ScopedCurrent::ScopedCurrent(EnergyRegistry& registry)
-    : previous_(t_current_energy_registry) {
-  t_current_energy_registry = &registry;
-}
-
-EnergyRegistry::ScopedCurrent::~ScopedCurrent() {
-  t_current_energy_registry = previous_;
-}
-
 void EnergyRegistry::add_entry(EnergyEntry entry) {
   entries_.push_back(std::move(entry));
 }
@@ -185,54 +164,11 @@ void EnergyRegistry::add_cap(EnergyCapSummary cap) {
 }
 
 void EnergyRegistry::merge_from(const EnergyRegistry& other, int pid_offset) {
-  entries_.reserve(entries_.size() + other.entries_.size());
-  for (EnergyEntry entry : other.entries_) {
-    entry.pid += pid_offset;
-    entries_.push_back(std::move(entry));
-  }
-  caps_.reserve(caps_.size() + other.caps_.size());
-  for (EnergyCapSummary cap : other.caps_) {
-    cap.pid += pid_offset;
-    caps_.push_back(std::move(cap));
-  }
+  append_shifted(entries_, other.entries_, pid_offset);
+  append_shifted(caps_, other.caps_, pid_offset);
 }
 
 namespace {
-
-// Same shortest-stable rendering as the SLO report writer, so report bytes
-// stay deterministic across platforms.
-std::string render_number(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.10g", std::isfinite(v) ? v : 0.0);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Stage with the largest attributed joules across every entry matching
 /// the cap summary (same pid + cap bucket); "" when nothing attributed.
@@ -267,17 +203,17 @@ void write_energy_report(const EnergyRegistry& energy, std::ostream& out) {
     first = false;
     const double jpr =
         e.requests ? e.energy_joules / static_cast<double>(e.requests) : 0.0;
-    out << "{\"pid\":" << e.pid << ",\"policy\":\"" << json_escape(e.policy)
-        << "\",\"model\":\"" << json_escape(e.model)
-        << "\",\"cap_watts\":" << render_number(e.cap_watts)
-        << ",\"energy_joules\":" << render_number(e.energy_joules)
+    out << "{\"pid\":" << e.pid << ",\"policy\":\"" << json::escape(e.policy)
+        << "\",\"model\":\"" << json::escape(e.model)
+        << "\",\"cap_watts\":" << json::render_number(e.cap_watts)
+        << ",\"energy_joules\":" << json::render_number(e.energy_joules)
         << ",\"stage_joules\":{";
     for (std::size_t s = 0; s < kEnergyStageCount; ++s) {
       out << (s ? "," : "") << '"' << kEnergyStageNames[s]
-          << "\":" << render_number(e.stage_joules[s]);
+          << "\":" << json::render_number(e.stage_joules[s]);
     }
     out << "},\"requests\":" << e.requests << ",\"batches\":" << e.batches
-        << ",\"joules_per_request\":" << render_number(jpr) << '}';
+        << ",\"joules_per_request\":" << json::render_number(jpr) << '}';
   }
   out << "\n  ],\n  \"caps\": [";
   first = true;
@@ -292,18 +228,18 @@ void write_energy_report(const EnergyRegistry& energy, std::ostream& out) {
             : 0.0;
     const double idle_frac =
         c.total_joules > 0.0 ? c.idle_joules / c.total_joules : 0.0;
-    out << "{\"pid\":" << c.pid << ",\"policy\":\"" << json_escape(c.policy)
-        << "\",\"cap_watts\":" << render_number(c.cap_watts)
+    out << "{\"pid\":" << c.pid << ",\"policy\":\"" << json::escape(c.policy)
+        << "\",\"cap_watts\":" << json::render_number(c.cap_watts)
         << ",\"periods\":" << c.periods
-        << ",\"total_joules\":" << render_number(c.total_joules)
-        << ",\"active_joules\":" << render_number(c.active_joules)
-        << ",\"idle_joules\":" << render_number(c.idle_joules)
-        << ",\"idle_fraction\":" << render_number(idle_frac)
+        << ",\"total_joules\":" << json::render_number(c.total_joules)
+        << ",\"active_joules\":" << json::render_number(c.active_joules)
+        << ",\"idle_joules\":" << json::render_number(c.idle_joules)
+        << ",\"idle_fraction\":" << json::render_number(idle_frac)
         << ",\"requests\":" << c.requests << ",\"batches\":" << c.batches
-        << ",\"joules_per_request\":" << render_number(jpr)
-        << ",\"requests_per_kilojoule\":" << render_number(rpkj)
+        << ",\"joules_per_request\":" << json::render_number(jpr)
+        << ",\"requests_per_kilojoule\":" << json::render_number(rpkj)
         << ",\"dominant_stage\":\""
-        << json_escape(dominant_stage(energy, c)) << "\"}";
+        << json::escape(dominant_stage(energy, c)) << "\"}";
   }
   out << "\n  ]\n}\n";
 }

@@ -22,8 +22,8 @@
 //     dominant energy stage)
 //   * the --summary-out energy block in bench/common
 //
-// The registry follows the SloRegistry discipline (global / thread-local
-// current / ScopedCurrent / scenario-order merge_from) so --energy-out is
+// The registry follows the SloRegistry discipline (one sink of a
+// telemetry::Context, scenario-order merge_from) so --energy-out is
 // byte-identical for any --jobs N. Total ledger joules reconcile with the
 // integrated meter trace exactly: both are the same per-period P_avg * T
 // samples.
@@ -166,9 +166,9 @@ class EnergyLedger {
   double total_joules_{0.0};
 };
 
-/// Accumulates finalized ledgers across runs, with the same
-/// global/current/ScopedCurrent discipline as SloRegistry so parallel
-/// scenarios stay isolated and merge deterministically in scenario order.
+/// Accumulates finalized ledgers across runs. Like every sink it belongs to
+/// a telemetry::Context, so parallel scenarios stay isolated and merge
+/// deterministically in scenario order.
 class EnergyRegistry {
  public:
   EnergyRegistry() = default;
@@ -194,19 +194,9 @@ class EnergyRegistry {
   /// Tracer::merge_from, exactly as for SloRegistry.
   void merge_from(const EnergyRegistry& other, int pid_offset);
 
+  /// Context::global().energy() / Context::current().energy().
   static EnergyRegistry& global();
   static EnergyRegistry& current();
-
-  class ScopedCurrent {
-   public:
-    explicit ScopedCurrent(EnergyRegistry& registry);
-    ~ScopedCurrent();
-    ScopedCurrent(const ScopedCurrent&) = delete;
-    ScopedCurrent& operator=(const ScopedCurrent&) = delete;
-
-   private:
-    EnergyRegistry* previous_;
-  };
 
  private:
   std::vector<EnergyEntry> entries_;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -59,28 +60,6 @@ void append_double(std::string& out, double v) {
   out += buf;
 }
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 /// Comma-managed key/value appender for one flat JSON object.
 class ObjectBuilder {
  public:
@@ -101,7 +80,9 @@ class ObjectBuilder {
   }
   void str(const char* key, const std::string& v) {
     field(key);
-    append_escaped(out_, v);
+    out_ += '"';
+    out_ += json::escape(v);
+    out_ += '"';
   }
   void nums(const char* key, const std::vector<double>& v) {
     field(key);
@@ -150,13 +131,15 @@ std::vector<double> numbers_at(const json::Value& v, const char* key) {
   return out;
 }
 
+constexpr long long kIntMax = std::numeric_limits<int>::max();
+
 std::vector<int> ints_at(const json::Value& v, const char* key) {
   std::vector<int> out;
   if (!v.contains(key)) return out;
   const json::Array& arr = v.at(key).as_array();
   out.reserve(arr.size());
   for (const json::Value& e : arr) {
-    out.push_back(static_cast<int>(e.as_number()));
+    out.push_back(static_cast<int>(e.as_integer(key, -kIntMax, kIntMax)));
   }
   return out;
 }
@@ -166,7 +149,12 @@ bool bool_at(const json::Value& v, const char* key) {
 }
 
 std::size_t size_at(const json::Value& v, const char* key) {
-  return static_cast<std::size_t>(v.number_or(key, 0.0));
+  return static_cast<std::size_t>(
+      v.integer_or(key, 0, 0, json::kMaxExactInteger));
+}
+
+int int_at(const json::Value& v, const char* key, int fallback) {
+  return static_cast<int>(v.integer_or(key, fallback, -kIntMax, kIntMax));
 }
 
 /// A replay sizes the controller by the gain count and indexes the device
@@ -180,8 +168,6 @@ void require_per_device(std::size_t entries, std::size_t gains,
                           std::to_string(gains) + " gains");
   }
 }
-
-thread_local FlightRecorder* t_current_recorder = nullptr;
 
 }  // namespace
 
@@ -251,7 +237,7 @@ std::string FlightRecord::to_jsonl() const {
 
 FlightRecord FlightRecord::from_json(const json::Value& v) {
   FlightRecord rec;
-  rec.pid = static_cast<int>(v.number_or("pid", 0.0));
+  rec.pid = int_at(v, "pid", 0);
   rec.period = size_at(v, "period");
   rec.t_s = v.number_or("t_s", 0.0);
   rec.policy = v.string_or("policy", "");
@@ -260,7 +246,7 @@ FlightRecord FlightRecord::from_json(const json::Value& v) {
   rec.error_w = v.number_or("error_w", 0.0);
   rec.held = bool_at(v, "held");
   rec.hold_reason = v.string_or("hold_reason", "");
-  rec.failsafe_state = static_cast<int>(v.number_or("failsafe_state", -1.0));
+  rec.failsafe_state = int_at(v, "failsafe_state", -1);
   rec.failsafe_cause = v.string_or("failsafe_cause", "");
   rec.freqs_mhz = numbers_at(v, "freqs_mhz");
   rec.targets_mhz = numbers_at(v, "targets_mhz");
@@ -571,24 +557,6 @@ void FlightRecorder::merge_from(FlightRecorder&& other, int pid_offset) {
   }
   dropped_ += other.dropped_;
   other.clear();
-}
-
-FlightRecorder& FlightRecorder::global() {
-  static FlightRecorder recorder;
-  return recorder;
-}
-
-FlightRecorder& FlightRecorder::current() {
-  return t_current_recorder != nullptr ? *t_current_recorder : global();
-}
-
-FlightRecorder::ScopedCurrent::ScopedCurrent(FlightRecorder& recorder)
-    : previous_(t_current_recorder) {
-  t_current_recorder = &recorder;
-}
-
-FlightRecorder::ScopedCurrent::~ScopedCurrent() {
-  t_current_recorder = previous_;
 }
 
 }  // namespace capgpu::telemetry

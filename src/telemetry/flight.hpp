@@ -10,9 +10,9 @@
 // bit-identical (doubles serialize at %.17g, which round-trips exactly).
 //
 // The recorder is a bounded ring (oldest records drop first, counted), off
-// by default, and follows the library's telemetry scoping pattern:
-// global()/current()/ScopedCurrent plus merge_from(other, pid_offset) so
-// parallel scenario sweeps produce byte-identical logs for any --jobs.
+// by default, and is one sink of a telemetry::Context, merged with
+// merge_from(other, pid_offset) so parallel scenario sweeps produce
+// byte-identical logs for any --jobs.
 // While finalizing records it derives the controller-health metrics
 // (prediction-error EWMAs, binding-constraint fractions, QP iteration
 // histogram, fail-safe transitions) and emits anomaly trace instants.
@@ -164,23 +164,11 @@ class FlightRecorder {
   /// across --jobs values. Finalizes the other recorder first.
   void merge_from(FlightRecorder&& other, int pid_offset);
 
-  /// The process-wide recorder.
+  /// The process-wide recorder, Context::global().flight().
   static FlightRecorder& global();
-  /// The recorder instrumentation on this thread writes to: the one set by
-  /// ScopedCurrent (runner worker threads), global() otherwise.
+  /// The recorder instrumentation on this thread writes to: that of the
+  /// thread's bound telemetry::Context (see context.hpp).
   static FlightRecorder& current();
-
-  /// Rebinds current() for this thread for the guard's lifetime (RAII).
-  class ScopedCurrent {
-   public:
-    explicit ScopedCurrent(FlightRecorder& recorder);
-    ~ScopedCurrent();
-    ScopedCurrent(const ScopedCurrent&) = delete;
-    ScopedCurrent& operator=(const ScopedCurrent&) = delete;
-
-   private:
-    FlightRecorder* previous_;
-  };
 
  private:
   /// Per-run derivation state (keyed by pid), not merged or serialized.

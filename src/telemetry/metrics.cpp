@@ -109,28 +109,6 @@ void LogLinearHistogram::merge_from(const LogLinearHistogram& other) {
   count_ += other.count_;
 }
 
-namespace {
-thread_local MetricsRegistry* t_current_registry = nullptr;
-}  // namespace
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
-MetricsRegistry& MetricsRegistry::current() {
-  return t_current_registry ? *t_current_registry : global();
-}
-
-MetricsRegistry::ScopedCurrent::ScopedCurrent(MetricsRegistry& registry)
-    : previous_(t_current_registry) {
-  t_current_registry = &registry;
-}
-
-MetricsRegistry::ScopedCurrent::~ScopedCurrent() {
-  t_current_registry = previous_;
-}
-
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   for (const Family* family : other.families()) {
     for (const auto& [key, series] : family->series) {

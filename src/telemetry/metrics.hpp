@@ -12,10 +12,10 @@
 // Thread-compatible, like the rest of the library: concurrent reads are
 // fine, concurrent mutation needs external synchronisation (the DES is
 // single-threaded). Parallel scenario execution (runner::ScenarioRunner)
-// gives every scenario a private registry bound to its worker thread via
-// current()/ScopedCurrent and merges the instances back into the parent
-// registry in scenario order, so exports stay deterministic under any
-// --jobs value.
+// gives every scenario a private registry, part of a telemetry::Context
+// bound to its worker thread, and merges the instances back into the
+// parent registry in scenario order, so exports stay deterministic under
+// any --jobs value.
 #pragma once
 
 #include <cstddef>
@@ -170,24 +170,11 @@ class MetricsRegistry {
   /// sequential export byte for byte.
   void merge_from(const MetricsRegistry& other);
 
-  /// The process-wide registry.
+  /// The process-wide registry, Context::global().metrics().
   static MetricsRegistry& global();
-
-  /// The registry instrumentation on this thread writes to: the one set by
-  /// ScopedCurrent (runner worker threads), global() otherwise.
+  /// The registry instrumentation on this thread writes to: that of the
+  /// thread's bound telemetry::Context (see context.hpp).
   static MetricsRegistry& current();
-
-  /// Rebinds current() for this thread for the guard's lifetime (RAII).
-  class ScopedCurrent {
-   public:
-    explicit ScopedCurrent(MetricsRegistry& registry);
-    ~ScopedCurrent();
-    ScopedCurrent(const ScopedCurrent&) = delete;
-    ScopedCurrent& operator=(const ScopedCurrent&) = delete;
-
-   private:
-    MetricsRegistry* previous_;
-  };
 
  private:
   Instrument& find_or_create(const std::string& name, const std::string& help,

@@ -5,9 +5,9 @@
 // the system notice, how much SLO error budget burned while it reacted,
 // and did recovery overshoot? One ResilienceEntry answers those questions
 // for one campaign stage; the registry accumulates entries across
-// scenarios with the same global/current/ScopedCurrent discipline as
-// SloRegistry, so parallel sweeps merge deterministically in scenario
-// order and --resilience-out is byte-identical for any --jobs count.
+// scenarios and, like every sink of a telemetry::Context, merges
+// deterministically in scenario order, so --resilience-out is
+// byte-identical for any --jobs count.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +46,7 @@ struct ResilienceEntry {
 };
 
 /// Accumulates ResilienceEntry records across runs; same scoping contract
-/// as SloRegistry (global()/current()/ScopedCurrent + ordered merge).
+/// as SloRegistry (one sink of a telemetry::Context + ordered merge).
 class ResilienceRegistry {
  public:
   ResilienceRegistry() = default;
@@ -64,19 +64,9 @@ class ResilienceRegistry {
   /// `pid_offset` (the parent tracer's pid captured before its merge).
   void merge_from(const ResilienceRegistry& other, int pid_offset);
 
+  /// Context::global().resilience() / Context::current().resilience().
   static ResilienceRegistry& global();
   static ResilienceRegistry& current();
-
-  class ScopedCurrent {
-   public:
-    explicit ScopedCurrent(ResilienceRegistry& registry);
-    ~ScopedCurrent();
-    ScopedCurrent(const ScopedCurrent&) = delete;
-    ScopedCurrent& operator=(const ScopedCurrent&) = delete;
-
-   private:
-    ResilienceRegistry* previous_;
-  };
 
  private:
   std::vector<ResilienceEntry> entries_;

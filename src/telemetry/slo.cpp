@@ -1,12 +1,12 @@
 #include "telemetry/slo.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
+#include "telemetry/context.hpp"
 #include "telemetry/metric_names.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/sketch.hpp"
@@ -81,94 +81,33 @@ double SloBurnMonitor::budget_consumed() const {
   return miss_rate / (1.0 - config_.objective);
 }
 
-namespace {
-thread_local SloRegistry* t_current_slo_registry = nullptr;
-}  // namespace
-
-SloRegistry& SloRegistry::global() {
-  static SloRegistry registry;
-  return registry;
-}
-
-SloRegistry& SloRegistry::current() {
-  return t_current_slo_registry ? *t_current_slo_registry : global();
-}
-
-SloRegistry::ScopedCurrent::ScopedCurrent(SloRegistry& registry)
-    : previous_(t_current_slo_registry) {
-  t_current_slo_registry = &registry;
-}
-
-SloRegistry::ScopedCurrent::~ScopedCurrent() {
-  t_current_slo_registry = previous_;
-}
-
 void SloRegistry::add(SloEntry entry) { entries_.push_back(std::move(entry)); }
 
 void SloRegistry::merge_from(const SloRegistry& other, int pid_offset) {
-  entries_.reserve(entries_.size() + other.entries_.size());
-  for (SloEntry entry : other.entries_) {
-    entry.pid += pid_offset;
-    entries_.push_back(std::move(entry));
-  }
+  append_shifted(entries_, other.entries_, pid_offset);
 }
 
 namespace {
-
-// Same shortest-stable rendering as the Prometheus exporter, so report
-// bytes stay deterministic.
-std::string render_number(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.10g", std::isfinite(v) ? v : 0.0);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void write_quantile_entry(std::ostream& out, const std::string& model,
                           const std::string& stage, const QuantileSketch& s,
                           bool& first) {
   out << (first ? "\n    " : ",\n    ");
   first = false;
-  out << "{\"model\":\"" << json_escape(model) << "\",\"stage\":\""
-      << json_escape(stage) << "\",\"relative_error\":"
-      << render_number(s.spec().relative_error)
+  out << "{\"model\":\"" << json::escape(model) << "\",\"stage\":\""
+      << json::escape(stage) << "\",\"relative_error\":"
+      << json::render_number(s.spec().relative_error)
       << ",\"count\":" << s.count();
   static constexpr const char* kQuantileKeys[kSummaryQuantileCount] = {
       "p50", "p95", "p99", "p999"};
   for (std::size_t q = 0; q < kSummaryQuantileCount; ++q) {
     out << ",\"" << kQuantileKeys[q]
-        << "\":" << render_number(s.quantile(kSummaryQuantiles[q]));
+        << "\":" << json::render_number(s.quantile(kSummaryQuantiles[q]));
   }
   const double mean =
       s.count() ? s.sum() / static_cast<double>(s.count()) : 0.0;
-  out << ",\"mean\":" << render_number(mean)
-      << ",\"max\":" << render_number(s.max()) << '}';
+  out << ",\"mean\":" << json::render_number(mean)
+      << ",\"max\":" << json::render_number(s.max()) << '}';
 }
 
 std::string label_value(const Labels& labels, const std::string& key) {
@@ -187,21 +126,21 @@ void write_slo_report(const SloRegistry& slo, const MetricsRegistry& metrics,
   for (const SloEntry& e : slo.entries()) {
     out << (first ? "\n    " : ",\n    ");
     first = false;
-    out << "{\"pid\":" << e.pid << ",\"policy\":\"" << json_escape(e.policy)
-        << "\",\"model\":\"" << json_escape(e.model)
-        << "\",\"objective\":" << render_number(e.objective)
-        << ",\"slo_seconds\":" << render_number(e.slo_seconds)
+    out << "{\"pid\":" << e.pid << ",\"policy\":\"" << json::escape(e.policy)
+        << "\",\"model\":\"" << json::escape(e.model)
+        << "\",\"objective\":" << json::render_number(e.objective)
+        << ",\"slo_seconds\":" << json::render_number(e.slo_seconds)
         << ",\"checked\":" << e.checked << ",\"missed\":" << e.missed
-        << ",\"budget_consumed\":" << render_number(e.budget_consumed)
-        << ",\"fast_burn\":" << render_number(e.final_fast_burn)
-        << ",\"slow_burn\":" << render_number(e.final_slow_burn)
+        << ",\"budget_consumed\":" << json::render_number(e.budget_consumed)
+        << ",\"fast_burn\":" << json::render_number(e.final_fast_burn)
+        << ",\"slow_burn\":" << json::render_number(e.final_slow_burn)
         << ",\"alerts\":" << e.alerts << ",\"episodes\":[";
     for (std::size_t i = 0; i < e.episodes.size(); ++i) {
       const SloAlertEpisode& ep = e.episodes[i];
       if (i) out << ',';
-      out << "{\"fired_at_s\":" << render_number(ep.fired_at_s)
+      out << "{\"fired_at_s\":" << json::render_number(ep.fired_at_s)
           << ",\"cleared_at_s\":"
-          << render_number(ep.cleared ? ep.cleared_at_s : 0.0)
+          << json::render_number(ep.cleared ? ep.cleared_at_s : 0.0)
           << ",\"cleared\":" << (ep.cleared ? "true" : "false") << '}';
     }
     out << "]}";

@@ -119,9 +119,9 @@ struct SloEntry {
   std::vector<SloAlertEpisode> episodes;
 };
 
-/// Accumulates SloEntry records across runs, with the same
-/// global/current/ScopedCurrent discipline as MetricsRegistry so parallel
-/// scenarios stay isolated and merge deterministically in scenario order.
+/// Accumulates SloEntry records across runs. Like every sink it belongs to
+/// a telemetry::Context, so parallel scenarios stay isolated and merge
+/// deterministically in scenario order.
 class SloRegistry {
  public:
   SloRegistry() = default;
@@ -142,19 +142,9 @@ class SloRegistry {
   /// stream.
   void merge_from(const SloRegistry& other, int pid_offset);
 
+  /// Context::global().slo() / Context::current().slo().
   static SloRegistry& global();
   static SloRegistry& current();
-
-  class ScopedCurrent {
-   public:
-    explicit ScopedCurrent(SloRegistry& registry);
-    ~ScopedCurrent();
-    ScopedCurrent(const ScopedCurrent&) = delete;
-    ScopedCurrent& operator=(const ScopedCurrent&) = delete;
-
-   private:
-    SloRegistry* previous_;
-  };
 
  private:
   std::vector<SloEntry> entries_;

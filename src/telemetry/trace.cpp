@@ -1,71 +1,36 @@
 #include "telemetry/trace.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace capgpu::telemetry {
 
 namespace {
 
-std::string render_number(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.10g", std::isfinite(v) ? v : 0.0);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void write_args(std::ostream& out, const std::vector<TraceArg>& args) {
   out << '{';
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (i) out << ',';
-    out << '"' << json_escape(args[i].key) << "\":";
+    out << '"' << json::escape(args[i].key) << "\":";
     if (args[i].is_number) {
       out << args[i].value;
     } else {
-      out << '"' << json_escape(args[i].value) << '"';
+      out << '"' << json::escape(args[i].value) << '"';
     }
   }
   out << '}';
 }
 
 void write_event(std::ostream& out, const TraceEvent& e) {
-  out << "{\"name\":\"" << json_escape(e.name) << "\",\"cat\":\""
-      << json_escape(e.category) << "\",\"ph\":\"" << e.phase
+  out << "{\"name\":\"" << json::escape(e.name) << "\",\"cat\":\""
+      << json::escape(e.category) << "\",\"ph\":\"" << e.phase
       << "\",\"pid\":" << e.pid << ",\"tid\":" << e.tid
-      << ",\"ts\":" << render_number(e.ts_us);
-  if (e.phase == 'X') out << ",\"dur\":" << render_number(e.dur_us);
+      << ",\"ts\":" << json::render_number(e.ts_us);
+  if (e.phase == 'X') out << ",\"dur\":" << json::render_number(e.dur_us);
   if (e.phase == 'i') out << ",\"s\":\"t\"";
   if (!e.args.empty() || e.phase == 'C') {
     out << ",\"args\":";
@@ -77,30 +42,10 @@ void write_event(std::ostream& out, const TraceEvent& e) {
 }  // namespace
 
 TraceArg::TraceArg(std::string k, double v)
-    : key(std::move(k)), value(render_number(v)), is_number(true) {}
+    : key(std::move(k)), value(json::render_number(v)), is_number(true) {}
 
 TraceArg::TraceArg(std::string k, std::string v)
     : key(std::move(k)), value(std::move(v)) {}
-
-namespace {
-thread_local Tracer* t_current_tracer = nullptr;
-}  // namespace
-
-Tracer& Tracer::global() {
-  static Tracer tracer;
-  return tracer;
-}
-
-Tracer& Tracer::current() {
-  return t_current_tracer ? *t_current_tracer : global();
-}
-
-Tracer::ScopedCurrent::ScopedCurrent(Tracer& tracer)
-    : previous_(t_current_tracer) {
-  t_current_tracer = &tracer;
-}
-
-Tracer::ScopedCurrent::~ScopedCurrent() { t_current_tracer = previous_; }
 
 void Tracer::merge_from(Tracer&& other) {
   const int pid_base = pid_;

@@ -53,24 +53,11 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Process-wide tracer.
+  /// The process-wide tracer, Context::global().tracer().
   static Tracer& global();
-
-  /// The tracer instrumentation on this thread writes to: the one set by
-  /// ScopedCurrent (runner worker threads), global() otherwise.
+  /// The tracer instrumentation on this thread writes to: that of the
+  /// thread's bound telemetry::Context (see context.hpp).
   static Tracer& current();
-
-  /// Rebinds current() for this thread for the guard's lifetime (RAII).
-  class ScopedCurrent {
-   public:
-    explicit ScopedCurrent(Tracer& tracer);
-    ~ScopedCurrent();
-    ScopedCurrent(const ScopedCurrent&) = delete;
-    ScopedCurrent& operator=(const ScopedCurrent&) = delete;
-
-   private:
-    Tracer* previous_;
-  };
 
   /// Appends another tracer's events, shifting their pids past this
   /// tracer's so runs stay distinct on the timeline. Merging scenario

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/error.hpp"
 
 namespace capgpu::json {
@@ -63,6 +66,65 @@ TEST(Json, MalformedInputThrows) {
   EXPECT_THROW((void)parse("tru"), InvalidArgument);
   EXPECT_THROW((void)parse("1 2"), InvalidArgument);  // trailing tokens
   EXPECT_THROW((void)parse(R"("\u00zz")"), InvalidArgument);
+}
+
+TEST(Json, IntegerAccessorRejectsWhatACastWouldGetWrong) {
+  const Value v = parse(
+      R"({"n": 4, "neg": -1, "frac": 1.9, "inf": 1e999, "big": 3e9,
+          "s": "4", "exact": 9007199254740992})");
+  EXPECT_EQ(v.integer_or("n", 0, 0, 10), 4);
+  EXPECT_EQ(v.integer_or("missing", 7, 0, 10), 7);
+  EXPECT_EQ(v.integer_or("neg", 0, -1, 10), -1);
+  EXPECT_EQ(v.integer_or("exact", 0, 0, kMaxExactInteger), kMaxExactInteger);
+  for (const char* key : {"neg", "frac", "inf", "big", "s"}) {
+    try {
+      (void)v.integer_or(key, 0, 0, 2147483647);
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  try {
+    (void)v.at("frac").as_integer("frac", 0, 10);
+    ADD_FAILURE() << "1.9 was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("got 1.9"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Json, EscapePinsEveryControlCharacter) {
+  EXPECT_EQ(escape("plain"), "plain");
+  EXPECT_EQ(escape("q\"b\\"), "q\\\"b\\\\");
+  const char* expected[0x20] = {
+      "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005",
+      "\\u0006", "\\u0007", "\\u0008", "\\t",     "\\n",     "\\u000b",
+      "\\u000c", "\\r",     "\\u000e", "\\u000f", "\\u0010", "\\u0011",
+      "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017",
+      "\\u0018", "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d",
+      "\\u001e", "\\u001f"};
+  for (int c = 0; c < 0x20; ++c) {
+    EXPECT_EQ(escape(std::string(1, static_cast<char>(c))), expected[c])
+        << "control character " << c;
+    // The escape parses back to the character.
+    EXPECT_EQ(parse("\"" + escape(std::string(1, static_cast<char>(c))) +
+                    "\"")
+                  .as_string(),
+              std::string(1, static_cast<char>(c)));
+  }
+  EXPECT_EQ(escape("\x7f\xc3\xa9"), "\x7f\xc3\xa9");  // DEL and UTF-8 pass
+}
+
+TEST(Json, RenderNumberIsShortestStable) {
+  EXPECT_EQ(render_number(42.0), "42");
+  EXPECT_EQ(render_number(-3.0), "-3");
+  EXPECT_EQ(render_number(0.1), "0.1");
+  EXPECT_EQ(render_number(1.0 / 3.0), "0.3333333333");
+  EXPECT_EQ(render_number(1e15), "1e+15");
+  EXPECT_EQ(render_number(std::numeric_limits<double>::infinity()), "0");
+  EXPECT_EQ(render_number(std::numeric_limits<double>::quiet_NaN()), "0");
 }
 
 TEST(Json, ParsePrefixWalksJsonlStream) {

@@ -9,6 +9,7 @@
 
 #include "core/capgpu_controller.hpp"
 #include "core/rig.hpp"
+#include "telemetry/context.hpp"
 #include "telemetry/energy.hpp"
 #include "telemetry/metric_names.hpp"
 #include "telemetry/metrics.hpp"
@@ -17,10 +18,10 @@ namespace capgpu::core {
 namespace {
 
 TEST(EnergyAttribution, LedgerReconcilesWithPowerTrace) {
-  telemetry::MetricsRegistry metrics;
-  telemetry::MetricsRegistry::ScopedCurrent metrics_guard(metrics);
-  telemetry::EnergyRegistry energy;
-  telemetry::EnergyRegistry::ScopedCurrent energy_guard(energy);
+  telemetry::Context context;
+  telemetry::Context::Binding bind(context);
+  telemetry::MetricsRegistry& metrics = context.metrics();
+  telemetry::EnergyRegistry& energy = context.energy();
 
   ServerRig rig;
   CapGpuController ctl(CapGpuConfig{}, rig.device_ranges(),
@@ -80,10 +81,9 @@ TEST(EnergyAttribution, LedgerReconcilesWithPowerTrace) {
 }
 
 TEST(EnergyAttribution, DisabledLedgerRecordsNothing) {
-  telemetry::MetricsRegistry metrics;
-  telemetry::MetricsRegistry::ScopedCurrent metrics_guard(metrics);
-  telemetry::EnergyRegistry energy;
-  telemetry::EnergyRegistry::ScopedCurrent energy_guard(energy);
+  telemetry::Context context;
+  telemetry::Context::Binding bind(context);
+  telemetry::EnergyRegistry& energy = context.energy();
 
   ServerRig rig;
   CapGpuController ctl(CapGpuConfig{}, rig.device_ranges(),

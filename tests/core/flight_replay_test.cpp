@@ -14,8 +14,8 @@
 #include "control/mpc.hpp"
 #include "core/capgpu_controller.hpp"
 #include "core/rig.hpp"
+#include "telemetry/context.hpp"
 #include "telemetry/flight.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace capgpu::core {
 namespace {
@@ -24,13 +24,12 @@ bool bits_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
-/// Runs one 30-period CapGPU experiment under a private flight recorder
-/// and returns its serialized log. The analytic power model skips the
-/// sysid sweep, keeping the test fast and deterministic.
-std::string record_run(telemetry::FlightRecorder& recorder) {
-  telemetry::MetricsRegistry registry;
-  telemetry::MetricsRegistry::ScopedCurrent metrics_guard(registry);
-  telemetry::FlightRecorder::ScopedCurrent flight_guard(recorder);
+/// Runs one 30-period CapGPU experiment under a private telemetry context
+/// and returns its serialized flight log. The analytic power model skips
+/// the sysid sweep, keeping the test fast and deterministic.
+std::string record_run(telemetry::Context& context) {
+  telemetry::Context::Binding bind(context);
+  telemetry::FlightRecorder& recorder = context.flight();
   recorder.set_enabled(true);
 
   ServerRig rig;
@@ -66,8 +65,9 @@ std::string strip_pids(const std::string& jsonl) {
 }
 
 TEST(FlightReplay, RecordedCapsReplayBitIdentically) {
-  telemetry::FlightRecorder recorder;
-  const std::string jsonl = record_run(recorder);
+  telemetry::Context context;
+  const std::string jsonl = record_run(context);
+  const telemetry::FlightRecorder& recorder = context.flight();
   ASSERT_FALSE(recorder.records().empty());
 
   std::size_t replayed = 0;
@@ -119,8 +119,9 @@ TEST(FlightReplay, RecordedCapsReplayBitIdentically) {
 }
 
 TEST(FlightReplay, RoundTripThroughJsonPreservesReplayInputs) {
-  telemetry::FlightRecorder recorder;
-  const std::string jsonl = record_run(recorder);
+  telemetry::Context context;
+  const std::string jsonl = record_run(context);
+  const telemetry::FlightRecorder& recorder = context.flight();
 
   // Parse the serialized log back and check the replay-critical inputs are
   // bit-identical to the in-memory records.
@@ -147,8 +148,8 @@ TEST(FlightReplay, RoundTripThroughJsonPreservesReplayInputs) {
 }
 
 TEST(FlightReplay, TwoIdenticalRunsSerializeIdentically) {
-  telemetry::FlightRecorder first;
-  telemetry::FlightRecorder second;
+  telemetry::Context first;
+  telemetry::Context second;
   const std::string a = record_run(first);
   const std::string b = record_run(second);
   ASSERT_FALSE(a.empty());

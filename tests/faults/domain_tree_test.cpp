@@ -257,6 +257,24 @@ TEST(Campaign, ParseRejectsBadDocuments) {
       "dead_after_s": 40}})"),
                InvalidArgument);
   EXPECT_THROW((void)parse_campaign("[]"), InvalidArgument);
+  // Counts that are negative, fractional or non-finite: a cast would make
+  // -1 periods a vector::reserve length_error and 1.9 rigs silently 1.
+  for (const char* doc : {R"({"periods": -1})",
+                          R"({"topology": {"racks": -1}})",
+                          R"({"topology": {"racks": 1, "pdus_per_rack": 2,
+                                           "rigs_per_pdu": 1.9}})",
+                          R"({"rebalance_every": 1e999})",
+                          R"({"seed": -5})",
+                          R"({"health": {"reintegrate_rebalances": 0.5}})"}) {
+    EXPECT_THROW((void)parse_campaign(doc), InvalidArgument) << doc;
+  }
+  try {
+    (void)parse_campaign(R"({"topology": {"rigs_per_pdu": 1.9}})");
+    ADD_FAILURE() << "fractional rigs_per_pdu was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("'rigs_per_pdu'"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

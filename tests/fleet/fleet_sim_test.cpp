@@ -6,8 +6,8 @@
 
 #include "common/error.hpp"
 #include "fleet/campaign.hpp"
+#include "telemetry/context.hpp"
 #include "telemetry/prometheus.hpp"
-#include "telemetry/scope.hpp"
 
 namespace capgpu::fleet {
 namespace {
@@ -78,10 +78,9 @@ TEST(FleetSim, ShardedMatchesSerialReferenceBitExactly) {
 TEST(FleetSim, TelemetryExportsByteIdenticalAcrossShardLayouts) {
   const FleetConfig fc = small_fleet();
 
-  // Each run under a private parent scope so the exports are comparable.
+  // Each run under a private parent context so the exports are comparable.
   const auto run_with = [&](std::size_t shards, std::size_t jobs) {
-    telemetry::ScenarioTelemetry parent(telemetry::Tracer::current(),
-                                        telemetry::FlightRecorder::current());
+    telemetry::Context parent;
     parent.flight().set_enabled(true);
     struct Exports {
       std::string prometheus;
@@ -89,7 +88,7 @@ TEST(FleetSim, TelemetryExportsByteIdenticalAcrossShardLayouts) {
       std::string energy;
     } out;
     {
-      telemetry::ScenarioTelemetry::Binding bind(parent);
+      telemetry::Context::Binding bind(parent);
       FleetSim sim(fc, {shards, jobs});
       (void)sim.run();
     }
@@ -168,9 +167,8 @@ TEST(FleetCampaign, ScoresStagesUnderFleetVariant) {
   stage.fault = brownout(8.0, 12.0, 0.6);
   cc.stages.push_back(stage);
 
-  telemetry::ScenarioTelemetry parent(telemetry::Tracer::current(),
-                                      telemetry::FlightRecorder::current());
-  telemetry::ScenarioTelemetry::Binding bind(parent);
+  telemetry::Context parent;
+  telemetry::Context::Binding bind(parent);
   const FleetCampaignResult r = run_fleet_campaign(cc, {4, 2});
   ASSERT_EQ(r.stages.size(), 1u);
   EXPECT_EQ(r.stages[0].variant, "fleet");
@@ -178,6 +176,62 @@ TEST(FleetCampaign, ScoresStagesUnderFleetVariant) {
   EXPECT_EQ(parent.resilience().entries().size(), 1u);
   EXPECT_GE(r.total_burn, 0.0);
   EXPECT_EQ(r.fleet.rigs, 16u);
+}
+
+TEST(RackCampaign, HardenedDetectsRecoversAndBurnsLessThanBaseline) {
+  // A short run of the reference PDU brownout: two of four rigs go dark
+  // for a minute while the rack budget sags 12%, then the whole row's
+  // budget is slashed for 20 s (a root-node stage).
+  faults::CampaignConfig cc;
+  cc.name = "rack_unit";
+  cc.seed = 3405691582ULL;
+  cc.topology = {1, 2, 2};
+  cc.rack_budget_w = 2400.0;
+  cc.periods = 40;
+  cc.period_s = 4.0;
+  cc.slo_s = 0.45;
+  cc.health.stale_report_s = 12.0;
+  cc.health.dead_after_s = 60.0;
+  cc.health.residual_anomaly_watts = 150.0;
+  cc.health.reintegrate_rebalances = 3;
+  faults::CampaignStage brownout_stage;
+  brownout_stage.name = "pdu_brownout";
+  brownout_stage.node = "rack0/pdu0";
+  brownout_stage.fault = brownout(24.0, 60.0, 0.12);
+  cc.stages.push_back(brownout_stage);
+  faults::CampaignStage slash_stage;
+  slash_stage.name = "row_slash";
+  slash_stage.fault.kind = faults::DomainFaultKind::kBudgetSlash;
+  slash_stage.fault.start_s = 100.0;
+  slash_stage.fault.duration_s = 20.0;
+  slash_stage.fault.magnitude = 0.1;
+  cc.stages.push_back(slash_stage);
+
+  telemetry::Context parent;
+  telemetry::Context::Binding bind(parent);
+  const FleetCampaignResult baseline = run_rack_campaign(cc, false);
+  const FleetCampaignResult hardened = run_rack_campaign(cc, true);
+
+  EXPECT_EQ(baseline.variant, "baseline");
+  EXPECT_EQ(hardened.variant, "hardened");
+  EXPECT_EQ(hardened.fleet.rigs, 4u);
+  ASSERT_EQ(baseline.stages.size(), 2u);
+  ASSERT_EQ(hardened.stages.size(), 2u);
+  EXPECT_LT(baseline.stages[0].detected_at_s, 0.0);
+  EXPECT_TRUE(baseline.fleet.health_log.empty());
+  EXPECT_GE(hardened.stages[0].detected_at_s, 24.0);
+  EXPECT_GE(hardened.stages[0].mttr_s, 0.0);
+  EXPECT_LT(hardened.total_burn, baseline.total_burn);
+
+  const auto& entries = parent.resilience().entries();
+  ASSERT_EQ(entries.size(), 4u);
+  const char* variants[] = {"baseline", "baseline", "hardened", "hardened"};
+  const char* domains[] = {"rack0/pdu0", "row", "rack0/pdu0", "row"};
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(entries[i].campaign, "rack_unit");
+    EXPECT_EQ(entries[i].variant, variants[i]);
+    EXPECT_EQ(entries[i].domain, domains[i]);
+  }
 }
 
 }  // namespace

@@ -9,15 +9,16 @@
 #include <thread>
 #include <vector>
 
+#include "telemetry/context.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/prometheus.hpp"
 #include "telemetry/sketch.hpp"
-#include "telemetry/scope.hpp"
 #include "telemetry/trace.hpp"
 
 namespace capgpu::runner {
 namespace {
 
+using telemetry::Context;
 using telemetry::MetricsRegistry;
 using telemetry::Tracer;
 
@@ -63,11 +64,11 @@ void instrument_scenario(std::size_t i) {
 /// Runs the same scenario set under `jobs` workers into fresh parent
 /// telemetry and renders everything to one comparable string.
 std::string run_and_render(std::size_t jobs, std::size_t count) {
-  MetricsRegistry parent;
-  Tracer tracer;
-  tracer.set_enabled(true);
-  MetricsRegistry::ScopedCurrent bind_metrics(parent);
-  Tracer::ScopedCurrent bind_tracer(tracer);
+  Context context;
+  context.tracer().set_enabled(true);
+  Context::Binding bind(context);
+  MetricsRegistry& parent = context.metrics();
+  Tracer& tracer = context.tracer();
 
   ScenarioRunner sr({jobs});
   const std::vector<int> results =
@@ -94,18 +95,18 @@ TEST(ScenarioRunner, TelemetryAndResultsAreByteIdenticalAcrossJobCounts) {
 TEST(ScenarioRunner, SketchMergeIsDeterministicAcrossJobCounts) {
   // Sketch bucket counts are integers and merge in scenario order, so a
   // parallel run must reproduce the sequential quantiles bit-for-bit.
-  auto run_jobs = [](std::size_t jobs, MetricsRegistry& parent) {
-    MetricsRegistry::ScopedCurrent bind(parent);
+  auto run_jobs = [](std::size_t jobs, Context& parent) {
+    Context::Binding bind(parent);
     ScenarioRunner sr({jobs});
     sr.run(24, [](std::size_t i) { instrument_scenario(i); });
   };
-  MetricsRegistry seq;
-  MetricsRegistry par;
+  Context seq;
+  Context par;
   run_jobs(1, seq);
   run_jobs(8, par);
-  auto& a = seq.sketch("scenario_latency_seconds", "latency",
+  auto& a = seq.metrics().sketch("scenario_latency_seconds", "latency",
                        {{"stage", "gpu_exec"}});
-  auto& b = par.sketch("scenario_latency_seconds", "latency",
+  auto& b = par.metrics().sketch("scenario_latency_seconds", "latency",
                        {{"stage", "gpu_exec"}});
   EXPECT_EQ(a.count(), b.count());
   EXPECT_EQ(a.count(), 24u * 32u);
@@ -118,8 +119,9 @@ TEST(ScenarioRunner, SketchMergeIsDeterministicAcrossJobCounts) {
 }
 
 TEST(ScenarioRunner, MergesScenarioTelemetryIntoTheCallersRegistry) {
-  MetricsRegistry parent;
-  MetricsRegistry::ScopedCurrent bind(parent);
+  Context context;
+  Context::Binding bind(context);
+  MetricsRegistry& parent = context.metrics();
   ScenarioRunner sr({4});
   sr.run(10, [](std::size_t i) { instrument_scenario(i); });
   EXPECT_DOUBLE_EQ(parent.counter("scenario_runs_total", "runs").value(),
@@ -133,8 +135,9 @@ TEST(ScenarioRunner, MergesScenarioTelemetryIntoTheCallersRegistry) {
 }
 
 TEST(ScenarioRunner, ExceptionIsRethrownWithPriorScenariosMerged) {
-  MetricsRegistry parent;
-  MetricsRegistry::ScopedCurrent bind(parent);
+  Context context;
+  Context::Binding bind(context);
+  MetricsRegistry& parent = context.metrics();
   ScenarioRunner sr({1});
   EXPECT_THROW(sr.run(10,
                       [](std::size_t i) {

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "telemetry/context.hpp"
 #include "telemetry/metric_names.hpp"
 #include "telemetry/metrics.hpp"
 #include "workload/request_timeline.hpp"
@@ -34,8 +35,9 @@ TEST(EnergyLedger, StageLayoutMirrorsPipeline) {
 }
 
 TEST(EnergyLedger, SplitsActiveAndIdleByDutyCycle) {
-  MetricsRegistry metrics;
-  MetricsRegistry::ScopedCurrent guard(metrics);
+  Context context;
+  Context::Binding bind(context);
+  MetricsRegistry& metrics = context.metrics();
   EnergyLedger ledger("mpc", 1, 2, {"resnet50"});
   // 1000 W over 1 s = 1000 J; one 0.5 s batch on 2 GPU-slots of capacity
   // (2 GPU-seconds) = 25% duty -> 250 J active, 750 J idle.
@@ -76,8 +78,8 @@ TEST(EnergyLedger, SplitsActiveAndIdleByDutyCycle) {
 }
 
 TEST(EnergyLedger, StageSplitFollowsResidencyShares) {
-  MetricsRegistry metrics;
-  MetricsRegistry::ScopedCurrent guard(metrics);
+  Context context;
+  Context::Binding bind(context);
   EnergyLedger ledger("mpc", 1, 1, {"m"});
   ledger.begin_period(700.0, 100.0, 1.0);  // 100 J
   // Full duty (1 s batch on 1 GPU-second): 100 J active. Residency: 1 s
@@ -93,8 +95,8 @@ TEST(EnergyLedger, StageSplitFollowsResidencyShares) {
 }
 
 TEST(EnergyLedger, IdleOnlyPeriodAttributesNothing) {
-  MetricsRegistry metrics;
-  MetricsRegistry::ScopedCurrent guard(metrics);
+  Context context;
+  Context::Binding bind(context);
   EnergyLedger ledger("mpc", 1, 3, {"a", "b"});
   ledger.begin_period(600.0, 500.0, 4.0);  // 2000 J, no batches
   ledger.end_period();
@@ -108,8 +110,8 @@ TEST(EnergyLedger, IdleOnlyPeriodAttributesNothing) {
 }
 
 TEST(EnergyLedger, CapsBucketAtTenthWatt) {
-  MetricsRegistry metrics;
-  MetricsRegistry::ScopedCurrent guard(metrics);
+  Context context;
+  Context::Binding bind(context);
   EnergyLedger ledger("mpc", 1, 1, {"m"});
   ledger.begin_period(800.0, 100.0, 1.0);
   ledger.end_period();
@@ -126,8 +128,8 @@ TEST(EnergyLedger, CapsBucketAtTenthWatt) {
 }
 
 TEST(EnergyLedger, DutyCycleClampsAtFullOccupancy) {
-  MetricsRegistry metrics;
-  MetricsRegistry::ScopedCurrent guard(metrics);
+  Context context;
+  Context::Binding bind(context);
   EnergyLedger ledger("mpc", 1, 1, {"m"});
   ledger.begin_period(900.0, 100.0, 1.0);
   // A batch straddling the period boundary: 1.5 s busy on 1 GPU-second of
@@ -142,8 +144,8 @@ TEST(EnergyLedger, DutyCycleClampsAtFullOccupancy) {
 }
 
 TEST(EnergyLedger, PeriodProtocolEnforced) {
-  MetricsRegistry metrics;
-  MetricsRegistry::ScopedCurrent guard(metrics);
+  Context context;
+  Context::Binding bind(context);
   EnergyLedger ledger("mpc", 1, 1, {"m"});
   EXPECT_THROW(ledger.end_period(), InvalidArgument);
   const EnergyBatch b = make_batch(1.0, 0.5, 1);

@@ -16,6 +16,7 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "telemetry/context.hpp"
 #include "telemetry/metric_names.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -113,6 +114,60 @@ TEST(FlightRecord, ShortPerDeviceArraysAreRejected) {
                InvalidArgument);
 }
 
+TEST(FlightRecord, UncheckedCountsAreRejectedNamingTheKey) {
+  // Counts and int fields index and size the replay: a negative horizon
+  // once became a huge size_t and hung capgpu_ctl_replay. Every such value
+  // that is negative, fractional, non-finite or out of range must fail the
+  // parse with a message naming its key.
+  FlightRecord rec;
+  rec.pid = 3;
+  rec.period = 7;
+  rec.policy = "capgpu";
+  rec.failsafe_state = 0;
+  rec.mpc.present = true;
+  rec.mpc.gains_w_per_mhz = {0.05, 0.19};
+  rec.mpc.f_min_mhz = {1000.0, 435.0};
+  rec.mpc.f_max_mhz = {2400.0, 1350.0};
+  rec.mpc.f_lo_mhz = {1000.0, 435.0};
+  rec.mpc.f_hi_mhz = {2400.0, 1350.0};
+  rec.mpc.device_kinds = {0, 1};
+  rec.mpc.prediction_horizon = 8;
+  rec.mpc.control_horizon = 2;
+  rec.mpc.floor_binding = {0, 1};
+  const std::string line = rec.to_jsonl();
+  EXPECT_NO_THROW(FlightRecord::from_json(json::parse(line)));
+
+  const auto rejects = [&line](const std::string& field,
+                               const std::string& bad) {
+    const std::size_t at = line.find(field);
+    ASSERT_NE(at, std::string::npos) << field;
+    const std::size_t value = at + field.size();
+    const std::size_t end = line[value] == '['
+                                ? line.find(']', value) + 1
+                                : line.find_first_of(",}", value);
+    std::string edited = line;
+    edited.replace(value, end - value, bad);
+    const std::string key = field.substr(1, field.find('"', 1) - 1);
+    try {
+      (void)FlightRecord::from_json(json::parse(edited));
+      ADD_FAILURE() << field << bad << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  rejects("\"prediction_horizon\":", "-1");
+  rejects("\"control_horizon\":", "2.5");
+  rejects("\"qp_iterations\":", "1e999");
+  rejects("\"active_set_size\":", "-0.5");
+  rejects("\"period\":", "-3");
+  rejects("\"pid\":", "1.5");
+  rejects("\"failsafe_state\":", "3000000000");
+  rejects("\"device_kinds\":", "[0,-2147483649]");
+  rejects("\"floor_binding\":", "[0,0.5]");
+}
+
 TEST(FlightRecord, AbsentMpcSerializesAsNull) {
   FlightRecord rec;
   rec.policy = "fixed_step";
@@ -136,8 +191,9 @@ TEST(FlightRecorder, DisabledRecorderIgnoresRecords) {
 }
 
 TEST(FlightRecorder, RingDropsOldestAndCounts) {
-  MetricsRegistry registry;
-  MetricsRegistry::ScopedCurrent metrics_guard(registry);
+  Context context;
+  Context::Binding bind(context);
+  MetricsRegistry& registry = context.metrics();
   FlightRecorder recorder;
   recorder.set_enabled(true);
   recorder.set_capacity(4);
@@ -158,8 +214,9 @@ TEST(FlightRecorder, RingDropsOldestAndCounts) {
 }
 
 TEST(FlightRecorder, FinalizeFillsPowerResidualFromNextRecord) {
-  MetricsRegistry registry;
-  MetricsRegistry::ScopedCurrent metrics_guard(registry);
+  Context context;
+  Context::Binding bind(context);
+  MetricsRegistry& registry = context.metrics();
   FlightRecorder recorder;
   recorder.set_enabled(true);
 
@@ -198,8 +255,8 @@ TEST(FlightRecorder, FinalizeFillsPowerResidualFromNextRecord) {
 }
 
 TEST(FlightRecorder, LatencyResidualUsesPreviousPeriodsPrediction) {
-  MetricsRegistry registry;
-  MetricsRegistry::ScopedCurrent metrics_guard(registry);
+  Context context;
+  Context::Binding bind(context);
   FlightRecorder recorder;
   recorder.set_enabled(true);
 
@@ -238,8 +295,8 @@ TEST(FlightRecorder, LatencyResidualUsesPreviousPeriodsPrediction) {
 }
 
 TEST(FlightRecorder, MergeShiftsPidsAndPreservesOrder) {
-  MetricsRegistry registry;
-  MetricsRegistry::ScopedCurrent metrics_guard(registry);
+  Context context;
+  Context::Binding bind(context);
   FlightRecorder parent;
   parent.set_enabled(true);
   FlightRecorder child;
@@ -261,8 +318,9 @@ TEST(FlightRecorder, MergeShiftsPidsAndPreservesOrder) {
 }
 
 TEST(FlightRecorder, BindingFractionsTrackActedPeriods) {
-  MetricsRegistry registry;
-  MetricsRegistry::ScopedCurrent metrics_guard(registry);
+  Context context;
+  Context::Binding bind(context);
+  MetricsRegistry& registry = context.metrics();
   FlightRecorder recorder;
   recorder.set_enabled(true);
   // Four acted periods, floors binding in the middle two.
@@ -295,8 +353,8 @@ TEST(FlightRecorder, BindingFractionsTrackActedPeriods) {
 }
 
 TEST(FlightRecorder, NonconvergedSolvesAreCountedLazily) {
-  auto run = [](MetricsRegistry& registry, const std::vector<bool>& converged) {
-    MetricsRegistry::ScopedCurrent metrics_guard(registry);
+  auto run = [](Context& context, const std::vector<bool>& converged) {
+    Context::Binding bind(context);
     FlightRecorder recorder;
     recorder.set_enabled(true);
     for (std::size_t k = 0; k < converged.size(); ++k) {
@@ -312,17 +370,17 @@ TEST(FlightRecorder, NonconvergedSolvesAreCountedLazily) {
   };
   // Always converged: the family is never registered, so the export keeps
   // the bytes of a run that predates the counter.
-  MetricsRegistry clean;
+  Context clean;
   run(clean, {true, true, true});
-  const auto names = clean.metric_names();
+  const auto names = clean.metrics().metric_names();
   EXPECT_EQ(std::count(names.begin(), names.end(),
                        std::string(metric::kCtlQpNonconverged)),
             0);
   // Two unconverged periods finalized against a successor; the trailing
   // record skips health derivation, so its failure is not counted.
-  MetricsRegistry railed;
+  Context railed;
   run(railed, {false, true, false, false});
-  EXPECT_DOUBLE_EQ(railed
+  EXPECT_DOUBLE_EQ(railed.metrics()
                        .counter(metric::kCtlQpNonconverged, "",
                                 {{"policy", "capgpu"}})
                        .value(),
@@ -330,8 +388,9 @@ TEST(FlightRecorder, NonconvergedSolvesAreCountedLazily) {
 }
 
 TEST(FlightRecorder, FailsafeTransitionsAreCounted) {
-  MetricsRegistry registry;
-  MetricsRegistry::ScopedCurrent metrics_guard(registry);
+  Context context;
+  Context::Binding bind(context);
+  MetricsRegistry& registry = context.metrics();
   FlightRecorder recorder;
   recorder.set_enabled(true);
   const int states[] = {0, 0, 1, 2, 0};
@@ -362,8 +421,8 @@ TEST(FlightRecorder, FailsafeTransitionsAreCounted) {
 }
 
 TEST(FlightRecorder, WriteJsonlEmitsOneLinePerRecord) {
-  MetricsRegistry registry;
-  MetricsRegistry::ScopedCurrent metrics_guard(registry);
+  Context context;
+  Context::Binding bind(context);
   FlightRecorder recorder;
   recorder.set_enabled(true);
   for (std::size_t k = 0; k < 3; ++k) {
