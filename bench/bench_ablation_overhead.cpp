@@ -77,10 +77,9 @@ void BM_QpSolveBox(benchmark::State& state) {
     p.c(2 * i + 1, i) = -1.0;
     p.b[2 * i + 1] = 1.0;
   }
-  const linalg::Vector x0(n);
   control::QpSolver solver;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(p, x0));
+    benchmark::DoNotOptimize(solver.solve(p));
   }
 }
 BENCHMARK(BM_QpSolveBox)->Arg(4)->Arg(9)->Arg(17)->Arg(33)

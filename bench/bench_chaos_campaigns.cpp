@@ -107,22 +107,23 @@ constexpr const char* kFleetCampaign = R"({
   ]
 })";
 
-// Returns the campaign JSON: the embedded reference, or the file named by
-// a `--campaign <path>` flag (bench::init leaves unknown flags in argv).
-std::string campaign_text(int argc, char** argv) {
+// The file named by a `--campaign <path>` flag (bench::init leaves unknown
+// flags in argv), or nullptr for the embedded reference campaign.
+const char* campaign_path(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--campaign") {
-      std::ifstream in(argv[i + 1]);
-      if (!in.good()) {
-        throw InvalidArgument(std::string("cannot read campaign file ") +
-                              argv[i + 1]);
-      }
-      std::ostringstream text;
-      text << in.rdbuf();
-      return text.str();
-    }
+    if (std::string(argv[i]) == "--campaign") return argv[i + 1];
   }
-  return kReferenceCampaign;
+  return nullptr;
+}
+
+// Returns the campaign JSON: the embedded reference, or the file's text.
+std::string campaign_text(const char* path) {
+  if (path == nullptr) return kReferenceCampaign;
+  std::ifstream in(path);
+  if (!in.good()) throw InvalidArgument("cannot read the campaign file");
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 }  // namespace
@@ -142,13 +143,16 @@ int main(int argc, char** argv) {
       "Extension: chaos campaigns over correlated fault domains",
       "rig health management under a PDU brownout");
 
-  // A rejected document (malformed JSON, a negative or fractional count,
-  // an out-of-domain number) is a usage error, like a bad flag.
+  // A rejected document (malformed JSON, nesting past the parser's limit,
+  // a negative or fractional count, an out-of-domain number) is a usage
+  // error, like a bad flag.
   faults::CampaignConfig cfg;
+  const char* const path = campaign_path(argc, argv);
   try {
-    cfg = faults::parse_campaign(campaign_text(argc, argv));
+    cfg = faults::parse_campaign(campaign_text(path));
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    std::fprintf(stderr, "%s: %s: %s\n", argv[0],
+                 path != nullptr ? path : "reference campaign", e.what());
     return 2;
   }
   std::printf(

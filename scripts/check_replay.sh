@@ -3,8 +3,11 @@
 # check the log is byte-identical across reruns and --jobs values (the
 # ordered parallel merge must not leak scheduling), then feed it to
 # capgpu_ctl_replay, which re-solves every recorded period and asserts the
-# caps reproduce bit-identically. Registered as the `flight` CTest label;
-# scripts/check.sh runs it via ctest.
+# caps reproduce bit-identically and pass the QP's KKT certificate. The
+# smoke also requires that periods were re-solved at all: a log without MPC
+# state makes replay exit 3, and a PASS over zero periods proves nothing.
+# Registered as the `flight` CTest label; scripts/check.sh runs it via
+# ctest.
 #
 # Usage: check_replay.sh <bench_binary> <capgpu_ctl_replay_binary>
 set -euo pipefail
@@ -32,6 +35,14 @@ cmp "$tmp/flight.jsonl" "$tmp/jobs2.jsonl" \
        sed 's/^/  | /' "$tmp/replay.txt"; exit 1; }
 grep -q "PASS" "$tmp/replay.txt" \
   || { echo "FAIL: replay output missing PASS"; exit 1; }
+resolved=$(sed -n 's/^\[replay\] re-solved \([0-9]*\) periods.*/\1/p' \
+             "$tmp/replay.txt")
+[ "${resolved:-0}" -gt 0 ] \
+  || { echo "FAIL: replay re-solved no period"; exit 1; }
+grep -q "^\[certificate\] $resolved/$resolved re-solved periods pass" \
+     "$tmp/replay.txt" \
+  || { echo "FAIL: not every re-solved period passed the certificate"; \
+       sed 's/^/  | /' "$tmp/replay.txt"; exit 1; }
 
 # Counterfactual what-ifs must run and report.
 "$REPLAY" "$tmp/flight.jsonl" --counterfactual cap=800 \

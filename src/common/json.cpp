@@ -100,12 +100,17 @@ class Parser {
  public:
   Parser(const std::string& text, std::size_t pos) : text_(text), pos_(pos) {}
 
-  Value parse_value() {
+  /// `depth` counts the arrays and objects enclosing this value.
+  Value parse_value(std::size_t depth = 0) {
     skip_ws();
     CAPGPU_REQUIRE(pos_ < text_.size(), err("unexpected end of input"));
+    const bool nests = text_[pos_] == '{' || text_[pos_] == '[';
+    CAPGPU_REQUIRE(!nests || depth < kMaxDepth,
+                   err("nesting deeper than " + std::to_string(kMaxDepth) +
+                       " levels"));
     switch (text_[pos_]) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_object(depth + 1);
+      case '[': return parse_array(depth + 1);
       case '"': return Value(parse_string());
       case 't': expect_word("true"); return Value(true);
       case 'f': expect_word("false"); return Value(false);
@@ -143,7 +148,7 @@ class Parser {
     }
   }
 
-  Value parse_object() {
+  Value parse_object(std::size_t depth) {
     expect('{');
     Object obj;
     skip_ws();
@@ -156,7 +161,7 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      obj.insert_or_assign(std::move(key), parse_value());
+      obj.insert_or_assign(std::move(key), parse_value(depth));
       skip_ws();
       CAPGPU_REQUIRE(pos_ < text_.size(), err("unterminated object"));
       if (text_[pos_] == ',') {
@@ -168,7 +173,7 @@ class Parser {
     }
   }
 
-  Value parse_array() {
+  Value parse_array(std::size_t depth) {
     expect('[');
     Array arr;
     skip_ws();
@@ -177,7 +182,7 @@ class Parser {
       return Value(std::move(arr));
     }
     while (true) {
-      arr.push_back(parse_value());
+      arr.push_back(parse_value(depth));
       skip_ws();
       CAPGPU_REQUIRE(pos_ < text_.size(), err("unterminated array"));
       if (text_[pos_] == ',') {

@@ -79,7 +79,13 @@ class Value {
   std::shared_ptr<Object> object_;
 };
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting the parser accepts. Every document the
+/// repo writes is a few levels deep; the limit keeps a hostile line from
+/// exhausting the stack of the recursive descent.
+inline constexpr std::size_t kMaxDepth = 256;
+
+/// Parses one JSON document; trailing non-whitespace, or nesting deeper
+/// than kMaxDepth, is an error.
 [[nodiscard]] Value parse(const std::string& text);
 
 /// Parses one document from `text` starting at `pos`, advancing `pos` past

@@ -35,11 +35,6 @@ MpcController::MpcController(MpcConfig config, std::vector<DeviceRange> devices,
   max_override_.resize(devices_.size());
   clear_min_frequency_overrides();
   clear_max_frequency_overrides();
-  QpSolver::Options qp_opts;
-  qp_opts.fast_path = config_.qp_fast_path;
-  solver_ = QpSolver(qp_opts);
-  const std::size_t dim = devices_.size() * config_.control_horizon;
-  prev_active_.reserve(2 * dim);
 }
 
 void MpcController::set_model(LinearPowerModel model) {
@@ -146,7 +141,6 @@ void MpcController::assemble_into(double error_watts,
         row += 2;
       }
     }
-    ws_x0_ = linalg::Vector(dim);
     ws_structure_built_ = true;
   }
 
@@ -225,18 +219,6 @@ void MpcController::assemble_into(double error_watts,
       }
     }
   }
-
-  // Feasible start: u = 0 unless a bound moved past the current frequency
-  // (an SLO tightened or a thermal ceiling dropped); then the first move
-  // jumps to the violated bound.
-  for (std::size_t a = 0; a < dim; ++a) ws_x0_[a] = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (freqs[j] < min_override_[j]) {
-      ws_x0_[j] = min_override_[j] - freqs[j];
-    } else if (freqs[j] > max_override_[j]) {
-      ws_x0_[j] = max_override_[j] - freqs[j];
-    }
-  }
 }
 
 const MpcDecision& MpcController::step(
@@ -249,21 +231,14 @@ const MpcDecision& MpcController::step(
   assemble_into(error, current_freqs_mhz);
 
   const std::size_t dim = n * config_.control_horizon;
-  solver_.solve(ws_qp_, ws_x0_, qp_ws_,
-                prev_active_.empty() ? nullptr : &prev_active_);
+  solver_.solve(ws_qp_, qp_ws_);
   const double* solution = qp_ws_.x().data().data();
   const std::vector<std::size_t>& active_set = qp_ws_.active_set();
-  if (qp_ws_.converged()) {
-    prev_active_.assign(active_set.begin(), active_set.end());
-  } else {
-    prev_active_.clear();
-  }
 
   MpcDecision& out = decision_;
   out.qp_iterations = qp_ws_.iterations();
   out.qp_converged = qp_ws_.converged();
-  out.warm_start_hit = qp_ws_.warm_start_hit();
-  out.fast_path_hit = qp_ws_.fast_path_hit();
+  out.fast_path_hit = qp_ws_.converged() && qp_ws_.iterations() == 0;
   out.qp_objective = qp_ws_.objective();
   out.active_set_size = active_set.size();
   out.deltas_mhz.resize(n);

@@ -53,10 +53,6 @@ struct MpcConfig {
   /// Tikhonov term added to the Hessian diagonal: keeps H positive definite
   /// when gains are tiny.
   double regularization{1e-9};
-  /// Enables the QP solver's analytic unconstrained fast path (persistent
-  /// Hessian factorisation, certify-or-fallback). Bitwise-neutral: a hit
-  /// returns exactly the active-set solution, so this only changes cost.
-  bool qp_fast_path{true};
 };
 
 /// Outcome of one control period. All vectors keep a fixed size per
@@ -71,13 +67,10 @@ struct MpcDecision {
   /// Model-predicted power trajectory p(k+i|k) for i = 1..P over the
   /// unclamped plan (entry i-1 holds step i).
   std::vector<double> predicted_power_horizon_watts;
-  std::size_t qp_iterations{0};
+  std::size_t qp_iterations{0};  ///< dual steps (each add or drop of a row)
   bool qp_converged{false};
-  /// True when the warm-start seed certified (single KKT solve); false on
-  /// cold iterations.
-  bool warm_start_hit{false};
-  /// True when the QP solver's analytic fast path certified (bitwise equal
-  /// to the active-set solve it replaced).
+  /// True when the unconstrained minimiser was feasible: the solve took
+  /// zero dual steps.
   bool fast_path_hit{false};
   double qp_objective{0.0};      ///< cost at the optimum
   std::size_t active_set_size{0};  ///< constraint rows active at the optimum
@@ -139,29 +132,27 @@ class MpcController {
   /// controller's own previous targets. The returned reference points at
   /// controller-owned storage, overwritten by the next step(); copy the
   /// fields you keep. After the first period the call performs no heap
-  /// allocations: the QP assembles into a persistent workspace, the solver
-  /// runs in preallocated buffers, and the previous period's active set
-  /// warm-starts the solve (certify-or-fallback, so results are bitwise
-  /// those of a cold solve).
+  /// allocations: the QP assembles into a persistent workspace and the
+  /// solver runs in preallocated buffers. No solver state carries over
+  /// between periods, so a step's decision depends only on its inputs.
   [[nodiscard]] const MpcDecision& step(
       Watts measured_power, const std::vector<double>& current_freqs_mhz);
 
-  /// The QP the last step() assembled and the feasible start point it was
-  /// solved from (decision layout [i*n + j]). Overwritten by the next
-  /// step() or linear_gains() call.
+  /// The QP the last step() assembled (decision layout [i*n + j]).
+  /// Overwritten by the next step() or linear_gains() call.
   [[nodiscard]] const QpProblem& last_qp() const { return ws_qp_; }
-  [[nodiscard]] const linalg::Vector& last_qp_start() const {
-    return ws_x0_;
-  }
+  /// The last step()'s solve: solution, active rows and multipliers, for
+  /// certify() against last_qp().
+  [[nodiscard]] const QpWorkspace& last_solve() const { return qp_ws_; }
 
   /// Linear gains of the *unconstrained* optimum at the current weights
   /// (for pole/stability analysis).
   [[nodiscard]] MpcLinearGains linear_gains() const;
 
  private:
-  /// Assembles the period's QP into the persistent workspace ws_qp_/ws_x0_.
+  /// Assembles the period's QP into the persistent workspace ws_qp_.
   /// Structural parts (constraint matrix, buffer shapes) are built once;
-  /// h/g/b/x0 are refilled in place, so steady-state periods allocate
+  /// h/g/b are refilled in place, so steady-state periods allocate
   /// nothing. The tracking term folds the saturated prediction steps
   /// (i >= M, identical rank-1 pattern) into one scaled update, so the
   /// assembly cost is ~independent of the prediction horizon.
@@ -180,11 +171,9 @@ class MpcController {
   // Persistent per-step state (mutable: linear_gains() probes through the
   // same assembly workspace).
   mutable QpProblem ws_qp_;
-  mutable linalg::Vector ws_x0_;
   mutable bool ws_structure_built_{false};
   QpWorkspace qp_ws_;
-  std::vector<std::size_t> prev_active_;  // warm-start seed for the QP
-  MpcDecision decision_;                  // returned by reference from step()
+  MpcDecision decision_;  // returned by reference from step()
 };
 
 }  // namespace capgpu::control

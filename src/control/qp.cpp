@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <limits>
 
 #include "common/error.hpp"
 #include "linalg/inplace.hpp"
@@ -19,24 +19,84 @@ double dot_row(const linalg::Matrix& c, std::size_t row, const double* x,
   return acc;
 }
 
+/// Plane rotation taking (a, b) to (sqrt(a^2 + b^2), 0).
+struct Givens {
+  double cs{1.0};
+  double sn{0.0};
+
+  Givens(double a, double b) {
+    const double h = std::sqrt(a * a + b * b);
+    if (h > 0.0) {
+      cs = a / h;
+      sn = b / h;
+    }
+  }
+  void apply(double& a, double& b) const {
+    const double t = cs * a + sn * b;
+    b = cs * b - sn * a;
+    a = t;
+  }
+  /// Rotates two length-`len` rows as one.
+  void apply(double* p, double* q, std::size_t len) const {
+    for (std::size_t i = 0; i < len; ++i) apply(p[i], q[i]);
+  }
+};
+
 }  // namespace
 
 void QpWorkspace::ensure(std::size_t n, std::size_t m) {
   if (n <= cap_n_ && m <= cap_m_) return;
   cap_n_ = std::max(cap_n_, n);
   cap_m_ = std::max(cap_m_, m);
-  const std::size_t s = cap_n_ + cap_m_;
-  kkt_.resize(s * s);
-  piv_.resize(s);
-  rhs_.resize(s);
-  sol_.resize(s);
-  grad_.resize(cap_n_);
-  chol_.resize(cap_n_ * cap_n_);
+  l_.resize(cap_n_ * cap_n_);
+  jt_.resize(cap_n_ * cap_n_);
+  r_.resize(cap_n_ * cap_n_);
+  d_.resize(cap_n_);
+  z_.resize(cap_n_);
+  dr_.resize(cap_n_);
+  u_.resize(cap_n_);
+  a_.resize(cap_n_);
   active_.resize(cap_m_);
-  span_.resize(cap_n_ * cap_n_);
-  span_pivot_.resize(cap_n_);
-  w_.reserve(cap_m_);
+  lambda_.reserve(cap_m_);
   active_set_.reserve(cap_m_);
+}
+
+bool QpCertificate::holds() const {
+  constexpr double kTolerance = 1e-7;
+  return primal <= kTolerance && stationarity <= kTolerance &&
+         dual <= kTolerance && complementarity <= kTolerance;
+}
+
+QpCertificate certify(const QpProblem& problem, const linalg::Vector& x,
+                      const std::vector<double>& multipliers) {
+  const std::size_t n = problem.g.size();
+  const std::size_t m = problem.c.rows();
+  CAPGPU_REQUIRE(x.size() == n && multipliers.size() == m,
+                 "certificate dimension mismatch");
+  const double* const xp = x.data().data();
+  QpCertificate cert;
+  double scale = 1.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    // H is symmetric, so its row j is column j.
+    const double hx = dot_row(problem.h, j, xp, n);
+    double residual = hx + problem.g[j];
+    for (std::size_t i = 0; i < m; ++i) {
+      residual += problem.c(i, j) * multipliers[i];
+    }
+    scale = std::max({scale, std::abs(hx), std::abs(problem.g[j])});
+    cert.stationarity = std::max(cert.stationarity, std::abs(residual));
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    const double slack = problem.b[i] - dot_row(problem.c, i, xp, n);
+    cert.primal = std::max(cert.primal, -slack);
+    cert.dual = std::max(cert.dual, -multipliers[i]);
+    cert.complementarity =
+        std::max(cert.complementarity, std::abs(multipliers[i] * slack));
+  }
+  cert.stationarity /= scale;
+  cert.dual /= scale;
+  cert.complementarity /= scale * std::max(1.0, x.norm_inf());
+  return cert;
 }
 
 bool QpSolver::is_feasible(const QpProblem& problem, const linalg::Vector& x,
@@ -50,219 +110,13 @@ bool QpSolver::is_feasible(const QpProblem& problem, const linalg::Vector& x,
   return true;
 }
 
-// Builds and solves the regularised KKT system for the working set ws.w_ at
-// the iterate ws.x_:  [H  Cw^T; Cw  -eps*I] [p; lambda] = [-(Hx+g); 0].
-// The tiny -eps*I block keeps the system nonsingular even when working rows
-// become linearly dependent. Arithmetic matches the pre-workspace solver
-// (fresh Matrix kkt + linalg::lu_solve) bit for bit; only the storage is
-// pooled.
-void QpSolver::kkt_solve(const QpProblem& problem, QpWorkspace& ws) const {
-  const std::size_t n = problem.g.size();
-  const std::size_t m = problem.c.rows();
-  const std::size_t k = ws.w_.size();
-  const std::size_t dim = n + k;
-  const std::size_t stride = n + m;  // fixed leading stride of the buffers
-  double* kkt = ws.kkt_.data();
-  for (std::size_t r = 0; r < dim; ++r) {
-    std::fill_n(kkt + r * stride, dim, 0.0);
-  }
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto hr = problem.h.row(r);
-    for (std::size_t c2 = 0; c2 < n; ++c2) kkt[r * stride + c2] = hr[c2];
-  }
-  for (std::size_t a = 0; a < k; ++a) {
-    const auto row = problem.c.row(ws.w_[a]);
-    for (std::size_t c2 = 0; c2 < n; ++c2) {
-      kkt[(n + a) * stride + c2] = row[c2];
-      kkt[c2 * stride + (n + a)] = row[c2];
-    }
-    kkt[(n + a) * stride + (n + a)] = -1e-10;
-  }
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto hr = problem.h.row(r);
-    double acc = 0.0;
-    for (std::size_t c2 = 0; c2 < n; ++c2) acc += hr[c2] * ws.x_[c2];
-    ws.grad_[r] = acc + problem.g[r];
-  }
-  for (std::size_t r = 0; r < n; ++r) ws.rhs_[r] = -ws.grad_[r];
-  for (std::size_t a = 0; a < k; ++a) ws.rhs_[n + a] = 0.0;
-  linalg::lu_factor_inplace(kkt, dim, stride, ws.piv_.data());
-  linalg::lu_solve_inplace(kkt, dim, stride, ws.piv_.data(), ws.rhs_.data(),
-                           ws.sol_.data());
-}
-
-// Stationarity is judged relative to the iterate's scale: MPC problems work
-// in MHz (x ~ 1e2..1e3), unit-test problems near 1. The rank test runs only
-// when the norm test fails, so it can turn a step the norm test calls
-// non-stationary into a stationary one, never the reverse: every solve that
-// converges on the norm test alone keeps its bits.
-bool QpSolver::stationary(const QpProblem& problem, QpWorkspace& ws) const {
-  const std::size_t n = problem.g.size();
-  const double stationary_tol =
-      options_.stationarity_tolerance * std::max(1.0, ws.x_.norm_inf());
-  double p_norm = 0.0;
-  for (std::size_t r = 0; r < n; ++r) {
-    p_norm = std::max(p_norm, std::abs(ws.sol_[r]));
-  }
-  return p_norm <= stationary_tol || working_rows_span(problem, ws);
-}
-
-// Forward elimination of the working rows into ws.span_, one normalised
-// pivot row per independent direction, stopping at the n-th. A row counts
-// as independent only when its reduced residual keeps more than 1e-9 of its
-// own magnitude, so rounding noise on a dependent row (the +- pair of a
-// collapsed box) never inflates the rank; a near-dependent set falls back
-// to the norm test.
-bool QpSolver::working_rows_span(const QpProblem& problem,
-                                 QpWorkspace& ws) const {
-  const std::size_t n = problem.g.size();
-  if (ws.w_.size() < n) return false;
-  double* const basis = ws.span_.data();
-  std::size_t* const pivot = ws.span_pivot_.data();
-  std::size_t rank = 0;
-  for (const std::size_t i : ws.w_) {
-    double* const v = basis + rank * n;
-    const auto row = problem.c.row(i);
-    double scale = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      v[j] = row[j];
-      scale = std::max(scale, std::abs(row[j]));
-    }
-    for (std::size_t b = 0; b < rank; ++b) {
-      const double f = v[pivot[b]];
-      if (f == 0.0) continue;
-      const double* const u = basis + b * n;
-      for (std::size_t j = 0; j < n; ++j) v[j] -= f * u[j];
-    }
-    std::size_t jmax = 0;
-    double vmax = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (std::abs(v[j]) > vmax) {
-        vmax = std::abs(v[j]);
-        jmax = j;
-      }
-    }
-    if (vmax <= 1e-9 * scale) continue;  // dependent on the rows so far
-    const double inv = 1.0 / v[jmax];
-    for (std::size_t j = 0; j < n; ++j) v[j] *= inv;
-    v[jmax] = 1.0;  // exact, so later rows eliminate this column to 0.0
-    pivot[rank] = jmax;
-    if (++rank == n) return true;
-  }
-  return false;
-}
-
-// The cold loop, started at an interior x0 whose unconstrained optimum is
-// also interior, does exactly this: (1) factor the bare-Hessian KKT system
-// and take the full Newton step (no constraint blocks), (2) refactor the
-// *same* H and find the step from the new iterate stationary, converging
-// with an empty active set. This method replays that arithmetic — the
-// gradient build, the triangular solves, the line-search test, the update
-// `x += 1.0 * p` and both stationarity checks use the cold loop's exact
-// expressions — against a persistent LU of H instead of two fresh
-// factorisations. Every certification failure returns false with ws.x_
-// still at x0, so the cold loop runs as if the attempt never happened.
-bool QpSolver::try_fast_path(const QpProblem& problem, QpWorkspace& ws) const {
-  const std::size_t n = problem.g.size();
-  const std::size_t m = problem.c.rows();
-  if (!ws.fast_valid_) {
-    if (ws.fast_n_ != n) {
-      ws.fast_n_ = n;
-      ws.fast_h_.resize(n * n);
-      ws.fast_lu_.resize(n * n);
-      ws.fast_piv_.resize(n);
-      ws.fast_x_.resize(n);
-    }
-    const double* h = problem.h.row(0).data();
-    std::copy(h, h + n * n, ws.fast_h_.begin());
-    std::copy(h, h + n * n, ws.fast_lu_.begin());
-    try {
-      linalg::lu_factor_inplace(ws.fast_lu_.data(), n, n, ws.fast_piv_.data());
-    } catch (const NumericalError&) {
-      return false;  // near-singular H: let the cold loop report it
-    }
-    ws.fast_valid_ = true;
-  }
-
-  // Gradient and Newton step at x0 — kkt_solve's arithmetic with k = 0.
-  // (LU elimination never reads past column n, so factoring at stride n
-  // yields the same bits as the KKT buffer's stride n+m.)
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto hr = problem.h.row(r);
-    double acc = 0.0;
-    for (std::size_t c2 = 0; c2 < n; ++c2) acc += hr[c2] * ws.x_[c2];
-    ws.grad_[r] = acc + problem.g[r];
-  }
-  for (std::size_t r = 0; r < n; ++r) ws.rhs_[r] = -ws.grad_[r];
-  linalg::lu_solve_inplace(ws.fast_lu_.data(), n, n, ws.fast_piv_.data(),
-                           ws.rhs_.data(), ws.sol_.data());
-
-  const double stationary_tol =
-      options_.stationarity_tolerance * std::max(1.0, ws.x_.norm_inf());
-  double p_norm = 0.0;
-  for (std::size_t r = 0; r < n; ++r) {
-    p_norm = std::max(p_norm, std::abs(ws.sol_[r]));
-  }
-  if (p_norm <= stationary_tol) {
-    // Already stationary with an empty working set: the cold loop would
-    // converge on iteration 1 without moving.
-    ws.iterations_ = 1;
-    ws.fast_hit_ = true;
-    ws.path_ = QpSolvePath::kFastPath;
-    return true;
-  }
-
-  // Line search over all (inactive ≡ all) constraints. Any blocking
-  // constraint (a_i < 1) means the step leaves the interior — fall back.
-  const double tol = options_.tolerance;
-  const double* const xp = ws.x_.data().data();
-  for (std::size_t i = 0; i < m; ++i) {
-    const double cp = dot_row(problem.c, i, ws.sol_.data(), n);
-    if (cp > tol) {
-      const double room = problem.b[i] - dot_row(problem.c, i, xp, n);
-      const double a_i = std::max(0.0, room / cp);
-      if (a_i < 1.0) return false;
-    }
-  }
-
-  // Full step into the candidate buffer (the cold loop's `x += 1.0 * p`).
-  for (std::size_t r = 0; r < n; ++r) {
-    ws.fast_x_[r] = ws.x_[r] + 1.0 * ws.sol_[r];
-  }
-
-  // Iteration-2 stationarity at the stepped point, same H factorisation.
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto hr = problem.h.row(r);
-    double acc = 0.0;
-    for (std::size_t c2 = 0; c2 < n; ++c2) acc += hr[c2] * ws.fast_x_[c2];
-    ws.grad_[r] = acc + problem.g[r];
-  }
-  for (std::size_t r = 0; r < n; ++r) ws.rhs_[r] = -ws.grad_[r];
-  linalg::lu_solve_inplace(ws.fast_lu_.data(), n, n, ws.fast_piv_.data(),
-                           ws.rhs_.data(), ws.sol_.data());
-  double x_scale = 1.0;
-  for (std::size_t r = 0; r < n; ++r) {
-    x_scale = std::max(x_scale, std::abs(ws.fast_x_[r]));
-  }
-  const double stat2 = options_.stationarity_tolerance * x_scale;
-  double p2_norm = 0.0;
-  for (std::size_t r = 0; r < n; ++r) {
-    p2_norm = std::max(p2_norm, std::abs(ws.sol_[r]));
-  }
-  if (p2_norm > stat2) return false;
-
-  // Certified: the cold loop's iteration 2 converges here with an empty
-  // working set (no multipliers to check).
-  for (std::size_t r = 0; r < n; ++r) ws.x_[r] = ws.fast_x_[r];
-  ws.iterations_ = 2;
-  ws.fast_hit_ = true;
-  ws.path_ = QpSolvePath::kFastPath;
-  return true;
-}
-
-void QpSolver::solve(const QpProblem& problem, const linalg::Vector& x0,
-                     QpWorkspace& ws,
-                     const std::vector<std::size_t>* warm_start) const {
+// Goldfarb–Idnani in the notation of the 1983 paper, for rows written as
+// n_i^T x + b_i >= 0 with n_i = -c_i. Between dual steps: x minimises the
+// objective with the active rows a_[0..q) held as equalities, their
+// multipliers u_[0..q) are >= 0, J^T H J = I, and J^T N = [R; 0] for the
+// active normals N = [n_{a_0} ... n_{a_{q-1}}]. J_1 (the first q columns
+// of J) spans the active rows; J_2 spans the directions that keep them.
+void QpSolver::solve(const QpProblem& problem, QpWorkspace& ws) const {
   const std::size_t n = problem.g.size();
   const std::size_t m = problem.c.rows();
   CAPGPU_REQUIRE(problem.h.rows() == n && problem.h.cols() == n,
@@ -270,167 +124,193 @@ void QpSolver::solve(const QpProblem& problem, const linalg::Vector& x0,
   CAPGPU_REQUIRE(m == problem.b.size(), "constraint dimension mismatch");
   CAPGPU_REQUIRE(m == 0 || problem.c.cols() == n,
                  "constraint column mismatch");
-  CAPGPU_REQUIRE(x0.size() == n, "start point dimension mismatch");
-  CAPGPU_REQUIRE(is_feasible(problem, x0), "QP start point is infeasible");
   ws.ensure(n, m);
-  // Fast-path snapshot: when H's bits match the matrix behind the persistent
-  // factorisation, both the SPD check and the refactorisation are skipped —
-  // the identical matrix already passed and factored. Any mismatch
-  // invalidates the factor and runs the up-front SPD check as before.
-  // (The >= 2 guard keeps the tiers equivalent under a starved iteration
-  // budget: a fast-path certification stands in for up to two cold
-  // iterations, so it must only fire when the cold loop could afford them.)
-  const bool fast_enabled =
-      options_.fast_path && n > 0 && options_.max_iterations >= 2;
-  const bool snapshot_hit =
-      fast_enabled && ws.fast_valid_ && ws.fast_n_ == n &&
-      std::memcmp(ws.fast_h_.data(), problem.h.row(0).data(),
-                  n * n * sizeof(double)) == 0;
-  if (!snapshot_hit) {
-    ws.fast_valid_ = false;
-    // Verify H is SPD up front, as the Cholesky constructor would.
-    if (n > 0 && !linalg::cholesky_factor_inplace(problem.h.row(0).data(),
-                                                  ws.chol_.data(), n, n)) {
-      throw NumericalError("Cholesky: matrix is not positive definite");
-    }
-  }
+  double* const l = ws.l_.data();
+  double* const jt = ws.jt_.data();
+  double* const r = ws.r_.data();
+  double* const d = ws.d_.data();
+  double* const z = ws.z_.data();
+  double* const dr = ws.dr_.data();
+  double* const u = ws.u_.data();
+  std::size_t* const a = ws.a_.data();
 
-  const double tol = options_.tolerance;
+  if (n > 0 && !linalg::cholesky_factor_inplace(problem.h.row(0).data(), l,
+                                                n, n)) {
+    throw NumericalError("Cholesky: matrix is not positive definite");
+  }
+  // Unconstrained minimiser x = -H^{-1} g by substitution with L, which is
+  // more accurate on an ill-conditioned H than multiplying by J J^T.
   if (ws.x_.size() != n) ws.x_ = linalg::Vector(n);
-  for (std::size_t i = 0; i < n; ++i) ws.x_[i] = x0[i];
+  double* const x = ws.x_.span().data();
+  for (std::size_t i = 0; i < n; ++i) {
+    double acc = -problem.g[i];
+    for (std::size_t k = 0; k < i; ++k) acc -= l[i * n + k] * x[k];
+    x[i] = acc / l[i * n + i];
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    double acc = x[i];
+    for (std::size_t k = i + 1; k < n; ++k) acc -= l[k * n + i] * x[k];
+    x[i] = acc / l[i * n + i];
+  }
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   std::fill_n(ws.active_.begin(), m, char{0});
-  ws.active_set_.clear();
-  ws.converged_ = false;
-  ws.warm_hit_ = false;
-  ws.fast_hit_ = false;
-  ws.path_ = QpSolvePath::kColdActiveSet;
-  ws.iterations_ = 0;
-
-  const double* const xp = ws.x_.data().data();
-
-  auto finish = [&](bool converged) {
-    // objective = 1/2 x^T H x + g^T x, in the reference evaluation order.
-    for (std::size_t r = 0; r < n; ++r) {
-      const auto hr = problem.h.row(r);
-      double acc = 0.0;
-      for (std::size_t c2 = 0; c2 < n; ++c2) acc += hr[c2] * ws.x_[c2];
-      ws.grad_[r] = acc;
-    }
-    double xhx = 0.0;
-    for (std::size_t i = 0; i < n; ++i) xhx += ws.x_[i] * ws.grad_[i];
-    double gx = 0.0;
-    for (std::size_t i = 0; i < n; ++i) gx += problem.g[i] * ws.x_[i];
-    ws.objective_ = 0.5 * xhx + gx;
-    ws.converged_ = converged;
-  };
-
-  // Warm start, certify-or-fallback: seed the working set with the warm rows
-  // still tight at x0 and accept x0 outright if it proves stationary there
-  // with non-negative multipliers — in the controller's steady state (clocks
-  // pinned at their bounds, x0 on the rails) the cold iteration ends at
-  // exactly x0 too, so the shortcut changes no bits. Any failed check falls
-  // through to the unmodified cold solve.
-  if (warm_start != nullptr && !warm_start->empty()) {
-    ws.w_.clear();
-    for (const std::size_t i : *warm_start) {
-      if (i >= m) continue;
-      if (!ws.w_.empty() && ws.w_.back() >= i) continue;  // need sorted+unique
-      const double room = problem.b[i] - dot_row(problem.c, i, xp, n);
-      if (room <= 0.0) ws.w_.push_back(i);
-    }
-    if (!ws.w_.empty()) {
-      kkt_solve(problem, ws);
-      const std::size_t k = ws.w_.size();
-      bool certified = stationary(problem, ws);
-      for (std::size_t a = 0; a < k && certified; ++a) {
-        certified = ws.sol_[n + a] >= -tol;
-      }
-      if (certified) {
-        ws.iterations_ = 1;
-        ws.warm_hit_ = true;
-        ws.path_ = QpSolvePath::kWarmCertified;
-        ws.active_set_.assign(ws.w_.begin(), ws.w_.end());
-        finish(true);
-        return;
-      }
-    }
-  }
-
-  // Analytic fast path (interior steady state): certify the unconstrained
-  // Newton step from the persistent H factorisation. A hit replicates the
-  // cold iteration bit for bit at ~two triangular solves instead of two LU
-  // factorisations plus the SPD check.
-  if (fast_enabled && try_fast_path(problem, ws)) {
-    finish(true);
-    return;
-  }
-
-  for (std::size_t iter = 0; iter < options_.max_iterations; ++iter) {
-    ws.iterations_ = iter + 1;
-
-    ws.w_.clear();
-    for (std::size_t i = 0; i < m; ++i) {
-      if (ws.active_[i]) ws.w_.push_back(i);
-    }
-    const std::size_t k = ws.w_.size();
-    kkt_solve(problem, ws);
-
-    if (stationary(problem, ws)) {
-      // Stationary on the working set: check multipliers.
-      double most_negative = -tol;
-      std::size_t drop = m;
-      for (std::size_t a = 0; a < k; ++a) {
-        const double lambda = ws.sol_[n + a];
-        if (lambda < most_negative) {
-          most_negative = lambda;
-          drop = ws.w_[a];
-        }
-      }
-      if (drop == m) {
-        for (std::size_t i = 0; i < m; ++i) {
-          if (ws.active_[i]) ws.active_set_.push_back(i);
-        }
-        finish(true);
-        return;
-      }
-      ws.active_[drop] = 0;
-      continue;
-    }
-
-    // Line search toward x + p, stopping at the first blocking constraint.
-    double alpha = 1.0;
-    std::size_t blocking = m;
+  std::size_t q = 0;
+  std::size_t steps = 0;
+  bool converged = false;
+  bool stuck = false;
+  while (!stuck) {
+    // Step 1: the most violated inactive row; none left means optimal.
+    std::size_t p = m;
+    double s_p = -options_.tolerance;
     for (std::size_t i = 0; i < m; ++i) {
       if (ws.active_[i]) continue;
-      const double cp = dot_row(problem.c, i, ws.sol_.data(), n);
-      if (cp > tol) {
-        const double room = problem.b[i] - dot_row(problem.c, i, xp, n);
-        const double a_i = std::max(0.0, room / cp);
-        if (a_i < alpha) {
-          alpha = a_i;
-          blocking = i;
-        }
+      const double s = problem.b[i] - dot_row(problem.c, i, x, n);
+      if (s < s_p) {
+        s_p = s;
+        p = i;
       }
     }
-    for (std::size_t r = 0; r < n; ++r) ws.x_[r] += alpha * ws.sol_[r];
-    if (blocking != m) ws.active_[blocking] = 1;
+    if (p == m) {
+      converged = true;
+      break;
+    }
+
+    if (steps == 0) {
+      // First violated row: J = L^{-T} (no row active yet), so J^T = L^{-1}
+      // by forward substitution. An interior solve never needs it.
+      for (std::size_t i = 0; i < n; ++i) {
+        double* const row = jt + i * n;
+        for (std::size_t c = 0; c < i; ++c) {
+          double acc = 0.0;
+          for (std::size_t k = c; k < i; ++k) {
+            acc += l[i * n + k] * jt[k * n + c];
+          }
+          row[c] = -acc / l[i * n + i];
+        }
+        row[i] = 1.0 / l[i * n + i];
+        std::fill(row + i + 1, row + n, 0.0);
+      }
+    }
+
+    // Step 2: raise p's multiplier from zero until p is tight, dropping
+    // every active row whose multiplier reaches zero first.
+    const auto cp = problem.c.row(p);
+    double u_p = 0.0;
+    for (;;) {
+      if (steps == options_.max_iterations) {
+        stuck = true;
+        break;
+      }
+      // d = J^T n_p; z = J_2 d_2 is the primal direction and z^T n_p =
+      // |d_2|^2; dr = R^{-1} d_1 is the rate at which the active
+      // multipliers fall.
+      double dd = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        const double* const jk = jt + k * n;
+        double acc = 0.0;
+        for (std::size_t i = 0; i < n; ++i) acc -= jk[i] * cp[i];
+        d[k] = acc;
+        dd += acc * acc;
+      }
+      std::fill_n(z, n, 0.0);
+      double zn = 0.0;
+      for (std::size_t k = q; k < n; ++k) {
+        zn += d[k] * d[k];
+        const double* const jk = jt + k * n;
+        for (std::size_t i = 0; i < n; ++i) z[i] += d[k] * jk[i];
+      }
+      for (std::size_t k = q; k-- > 0;) {
+        double acc = d[k];
+        for (std::size_t c = k + 1; c < q; ++c) acc -= r[k * n + c] * dr[c];
+        dr[k] = acc / r[k * n + k];
+      }
+
+      // Partial step: the longest step keeping every multiplier >= 0.
+      double t1 = kInf;
+      std::size_t drop = q;
+      for (std::size_t k = 0; k < q; ++k) {
+        if (dr[k] > 0.0 && u[k] / dr[k] < t1) {
+          t1 = u[k] / dr[k];
+          drop = k;
+        }
+      }
+      // Full step: makes p tight. A row numerically dependent on the active
+      // ones has no primal direction (z = 0) and takes a pure dual step.
+      const bool dependent = zn <= 1e-20 * dd;
+      if (dependent && drop == q) {  // p can never be satisfied: infeasible
+        stuck = true;
+        break;
+      }
+      const double t2 = dependent ? kInf : std::max(0.0, -s_p / zn);
+      const double t = std::min(t1, t2);
+      for (std::size_t k = 0; k < q; ++k) u[k] -= t * dr[k];
+      u_p += t;
+      if (!dependent) {
+        for (std::size_t i = 0; i < n; ++i) x[i] += t * z[i];
+      }
+      ++steps;
+
+      if (t2 <= t1) {
+        // Add p: rotate d_2 onto its first entry (and the matching columns
+        // of J), which makes [d_1; |d_2|] R's new last column.
+        for (std::size_t k = n - 1; k > q; --k) {
+          const Givens rot(d[k - 1], d[k]);
+          rot.apply(d[k - 1], d[k]);
+          rot.apply(jt + (k - 1) * n, jt + k * n, n);
+        }
+        for (std::size_t k = 0; k <= q; ++k) r[k * n + q] = d[k];
+        a[q] = p;
+        u[q] = u_p;
+        ws.active_[p] = 1;
+        ++q;
+        break;
+      }
+
+      // Drop the blocking row: delete its column of R, then rotate the
+      // Hessenberg remainder back to triangular (and J's columns with it).
+      ws.active_[a[drop]] = 0;
+      for (std::size_t k = drop; k + 1 < q; ++k) {
+        a[k] = a[k + 1];
+        u[k] = u[k + 1];
+        for (std::size_t i = 0; i <= k + 1; ++i) {
+          r[i * n + k] = r[i * n + k + 1];
+        }
+      }
+      --q;
+      for (std::size_t k = drop; k < q; ++k) {
+        const Givens rot(r[k * n + k], r[(k + 1) * n + k]);
+        for (std::size_t c = k; c < q; ++c) {
+          rot.apply(r[k * n + c], r[(k + 1) * n + c]);
+        }
+        rot.apply(jt + k * n, jt + (k + 1) * n, n);
+      }
+      s_p = problem.b[p] - dot_row(problem.c, p, x, n);
+    }
   }
 
-  // Iteration budget exhausted; report the best point found, not converged.
-  finish(false);
+  ws.iterations_ = steps;
+  ws.converged_ = converged;
+  ws.lambda_.assign(m, 0.0);
+  for (std::size_t k = 0; k < q; ++k) ws.lambda_[a[k]] = u[k];
+  ws.active_set_.clear();
+  for (std::size_t i = 0; i < m; ++i) {
+    if (ws.active_[i]) ws.active_set_.push_back(i);
+  }
+  double xhx = 0.0;
+  double gx = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    xhx += x[i] * dot_row(problem.h, i, x, n);
+    gx += problem.g[i] * x[i];
+  }
+  ws.objective_ = 0.5 * xhx + gx;
 }
 
-QpSolution QpSolver::solve(const QpProblem& problem,
-                           const linalg::Vector& x0) const {
+QpSolution QpSolver::solve(const QpProblem& problem) const {
   QpWorkspace ws;
-  solve(problem, x0, ws, nullptr);
-  QpSolution sol;
-  sol.x = ws.x();
-  sol.objective = ws.objective();
-  sol.iterations = ws.iterations();
-  sol.converged = ws.converged();
-  sol.active_set = ws.active_set();
-  return sol;
+  solve(problem, ws);
+  return {ws.x(),         ws.objective(),  ws.iterations(),
+          ws.converged(), ws.active_set(), ws.multipliers()};
 }
 
 }  // namespace capgpu::control

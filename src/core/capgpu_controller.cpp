@@ -146,7 +146,6 @@ void CapGpuController::describe_flight(
   m.predicted_power_horizon_w = last_.predicted_power_horizon_watts;
   m.qp_iterations = last_.qp_iterations;
   m.qp_converged = last_.qp_converged;
-  m.warm_start_hit = last_.warm_start_hit;
   m.fast_path_hit = last_.fast_path_hit;
   m.qp_objective = last_.qp_objective;
   m.active_set_size = last_.active_set_size;

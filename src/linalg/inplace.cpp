@@ -1,62 +1,8 @@
 #include "linalg/inplace.hpp"
 
 #include <cmath>
-#include <utility>
-
-#include "common/error.hpp"
 
 namespace capgpu::linalg {
-
-// Mirrors Lu::Lu (lu.cpp) statement for statement; only the addressing
-// differs (explicit stride instead of Matrix::operator()).
-void lu_factor_inplace(double* a, std::size_t n, std::size_t stride,
-                       std::size_t* piv) {
-  for (std::size_t i = 0; i < n; ++i) piv[i] = i;
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t p = k;
-    double best = std::abs(a[k * stride + k]);
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double v = std::abs(a[i * stride + k]);
-      if (v > best) {
-        best = v;
-        p = i;
-      }
-    }
-    if (best < 1e-13) {
-      throw NumericalError("LU: matrix is singular to working precision");
-    }
-    if (p != k) {
-      for (std::size_t c = 0; c < n; ++c) {
-        std::swap(a[p * stride + c], a[k * stride + c]);
-      }
-      std::swap(piv[p], piv[k]);
-    }
-    const double pivot = a[k * stride + k];
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double m = a[i * stride + k] / pivot;
-      a[i * stride + k] = m;
-      for (std::size_t c = k + 1; c < n; ++c) {
-        a[i * stride + c] -= m * a[k * stride + c];
-      }
-    }
-  }
-}
-
-// Mirrors Lu::solve (lu.cpp).
-void lu_solve_inplace(const double* lu, std::size_t n, std::size_t stride,
-                      const std::size_t* piv, const double* b, double* x) {
-  for (std::size_t i = 0; i < n; ++i) x[i] = b[piv[i]];
-  for (std::size_t i = 1; i < n; ++i) {
-    double acc = x[i];
-    for (std::size_t c = 0; c < i; ++c) acc -= lu[i * stride + c] * x[c];
-    x[i] = acc;
-  }
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = x[ii];
-    for (std::size_t c = ii + 1; c < n; ++c) acc -= lu[ii * stride + c] * x[c];
-    x[ii] = acc / lu[ii * stride + ii];
-  }
-}
 
 // Mirrors Cholesky::Cholesky (cholesky.cpp), with the throw replaced by a
 // false return so hot paths can reject without an exception.

@@ -1,31 +1,16 @@
-// Allocation-free factorisations on caller-owned strided buffers.
+// Allocation-free Cholesky on a caller-owned strided buffer.
 //
-// The active-set QP solver factors one KKT system per iteration and the MPC
-// controller one per control period; sizes change with the working set, so
-// Lu/Cholesky objects (which own their storage) would allocate on every
-// solve. These variants run the *identical* arithmetic on the leading n x n
-// block of a row-major buffer with a fixed leading stride, so a workspace
-// sized for the largest system serves every smaller one without touching the
-// heap. Bit-for-bit agreement with Lu/Cholesky is load-bearing: the solver's
-// iterates — and hence every bench output — must not move when a caller
-// switches to the in-place path.
+// The QP solver factors the MPC Hessian once per control period; a
+// Cholesky object (which owns its storage) would allocate on every solve.
+// This variant runs the *identical* arithmetic on the leading n x n block
+// of a row-major buffer with a fixed leading stride, so a workspace sized
+// for the largest system serves every smaller one without touching the
+// heap.
 #pragma once
 
 #include <cstddef>
 
 namespace capgpu::linalg {
-
-/// PA = LU factorisation with partial pivoting, in place on the leading
-/// n x n block of `a` (row-major, leading stride `stride` >= n). `piv` must
-/// hold n entries; on return it is the row permutation, as in Lu.
-/// Throws NumericalError when singular to working precision (|pivot| < 1e-13).
-void lu_factor_inplace(double* a, std::size_t n, std::size_t stride,
-                       std::size_t* piv);
-
-/// Solves A x = b from a factorisation produced by lu_factor_inplace.
-/// `x` receives the solution; `b` and `x` must not alias.
-void lu_solve_inplace(const double* lu, std::size_t n, std::size_t stride,
-                      const std::size_t* piv, const double* b, double* x);
 
 /// Cholesky A = L L^T of the leading n x n block of `a` into the lower
 /// triangle of `l` (both row-major with leading stride `stride`; the upper

@@ -35,15 +35,13 @@ const char* failsafe_name(int state) {
   }
 }
 
-// Tier attribution for capgpu_ctl_solver_path_total. The tiers are mutually
-// exclusive in the controller; the most-specific-first ordering keeps
-// attribution deterministic even for hand-edited logs.
-constexpr const char* kSolverPathNames[3] = {"warm", "fast", "cold"};
+// Path attribution for capgpu_ctl_solver_path_total: `fast` when the
+// unconstrained minimiser was feasible, `cold` when the solve took dual
+// steps.
+constexpr const char* kSolverPathNames[2] = {"fast", "cold"};
 
 std::size_t solver_path_index(const FlightMpcState& m) {
-  if (m.warm_start_hit) return 0;
-  if (m.fast_path_hit) return 1;
-  return 2;
+  return m.fast_path_hit ? 0 : 1;
 }
 
 // --- JSONL rendering -------------------------------------------------------
@@ -223,7 +221,6 @@ std::string FlightRecord::to_jsonl() const {
     m.nums("predicted_latency_s", mpc.predicted_latency_s);
     m.integer("qp_iterations", static_cast<long long>(mpc.qp_iterations));
     m.boolean("qp_converged", mpc.qp_converged);
-    m.boolean("warm_start_hit", mpc.warm_start_hit);
     m.boolean("fast_path_hit", mpc.fast_path_hit);
     m.num("qp_objective", mpc.qp_objective);
     m.integer("active_set_size", static_cast<long long>(mpc.active_set_size));
@@ -236,6 +233,7 @@ std::string FlightRecord::to_jsonl() const {
 }
 
 FlightRecord FlightRecord::from_json(const json::Value& v) {
+  CAPGPU_REQUIRE(v.is_object(), "flight record is not a JSON object");
   FlightRecord rec;
   rec.pid = int_at(v, "pid", 0);
   rec.period = size_at(v, "period");
@@ -289,9 +287,6 @@ FlightRecord FlightRecord::from_json(const json::Value& v) {
     mpc.predicted_latency_s = numbers_at(m, "predicted_latency_s");
     mpc.qp_iterations = size_at(m, "qp_iterations");
     mpc.qp_converged = bool_at(m, "qp_converged");
-    mpc.warm_start_hit = bool_at(m, "warm_start_hit");
-    // Absent in logs recorded before the tiered solve: default false, which
-    // replays as a plain active-set solve (the tiers are bitwise-neutral).
     mpc.fast_path_hit = bool_at(m, "fast_path_hit");
     mpc.qp_objective = m.number_or("qp_objective", 0.0);
     mpc.active_set_size = size_at(m, "active_set_size");
@@ -433,7 +428,7 @@ void FlightRecorder::finalize(FlightRecord& prev, const FlightRecord* next) {
           policy_labels);
       h.qp_iter_hist = &registry.histogram(
           metric::kCtlQpIterations,
-          "Active-set QP iterations per control period", kIterationSpec,
+          "QP dual steps per control period", kIterationSpec,
           policy_labels);
     }
     h.power_ewma_gauge->set(h.power_err_ewma);
@@ -443,7 +438,7 @@ void FlightRecorder::finalize(FlightRecord& prev, const FlightRecord* next) {
     const std::size_t path_idx = solver_path_index(prev.mpc);
     if (h.path_counters[path_idx] == nullptr) {
       h.path_counters[path_idx] = &registry.counter(
-          metric::kCtlSolverPath, "Acted periods by control-solve tier",
+          metric::kCtlSolverPath, "Acted periods by control-solve path",
           {{"policy", prev.policy}, {"path", kSolverPathNames[path_idx]}});
     }
     h.path_counters[path_idx]->inc();

@@ -69,11 +69,9 @@ struct FlightMpcState {
   std::vector<double> predicted_power_horizon_w;  ///< p(k+i|k), i=1..P
   std::vector<double> predicted_latency_s;        ///< per device, 0 = no model
   // QP diagnostics.
-  std::size_t qp_iterations{0};
+  std::size_t qp_iterations{0};  ///< dual steps of the QP solve
   bool qp_converged{false};
-  bool warm_start_hit{false};
-  /// QP solver's analytic fast path certified (bitwise equal to the
-  /// active-set solve it replaced).
+  /// The unconstrained minimiser was feasible (zero dual steps).
   bool fast_path_hit{false};
   double qp_objective{0.0};
   std::size_t active_set_size{0};
@@ -116,8 +114,9 @@ struct FlightRecord {
   /// One JSONL line (no trailing newline). Doubles print at %.17g.
   [[nodiscard]] std::string to_jsonl() const;
   /// Inverse of to_jsonl for one parsed line. Throws InvalidArgument when
-  /// an mpc object's per-device arrays (bounds, spec range, device kinds)
-  /// do not each hold one entry per gain.
+  /// the line is not an object, or when an mpc object's per-device arrays
+  /// (bounds, spec range, device kinds) do not each hold one entry per
+  /// gain.
   [[nodiscard]] static FlightRecord from_json(const json::Value& v);
 };
 
@@ -195,9 +194,9 @@ class FlightRecorder {
     Gauge* power_ewma_gauge{nullptr};
     LogLinearHistogram* power_err_hist{nullptr};
     LogLinearHistogram* qp_iter_hist{nullptr};
-    /// capgpu_ctl_solver_path_total, one handle per tier in the order
-    /// warm / fast / cold (see solver_path_index).
-    Counter* path_counters[3]{};
+    /// capgpu_ctl_solver_path_total, one handle per path in the order
+    /// fast / cold (see solver_path_index).
+    Counter* path_counters[2]{};
     Counter* nonconverged_counter{nullptr};
     Counter* floor_periods_counter{nullptr};
     Counter* ceiling_periods_counter{nullptr};

@@ -68,6 +68,32 @@ TEST(Json, MalformedInputThrows) {
   EXPECT_THROW((void)parse(R"("\u00zz")"), InvalidArgument);
 }
 
+TEST(Json, NestingPastTheLimitThrowsInsteadOfOverflowingTheStack) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const auto rejects_depth = [](const std::string& text) {
+    try {
+      (void)parse(text);
+      ADD_FAILURE() << "a document of " << text.size() << " bytes passed";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  EXPECT_NO_THROW((void)parse(nested(kMaxDepth)));
+  rejects_depth(nested(kMaxDepth + 1));
+  // A line of 20000 brackets used to overflow the stack of every loader.
+  rejects_depth(nested(20000));
+  // Objects count as levels too, and the limit spans both kinds.
+  std::string mixed;
+  for (std::size_t i = 0; i <= kMaxDepth; ++i) {
+    mixed += i % 2 ? "[" : "{\"k\":";
+  }
+  rejects_depth(mixed);
+}
+
 TEST(Json, IntegerAccessorRejectsWhatACastWouldGetWrong) {
   const Value v = parse(
       R"({"n": 4, "neg": -1, "frac": 1.9, "inf": 1e999, "big": 3e9,

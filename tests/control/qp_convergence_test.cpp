@@ -4,12 +4,12 @@
 // SLO floors clamped to thermal ceilings (collapsed boxes, whose +-row
 // pairs add rows without adding rank), thermal ceilings dropped below the
 // current clock, and partial rails. Each solve must
-//   - converge within 2 * rows + 1 cold iterations, and re-certify in one
-//     iteration when the same state repeats and its optimum is the start
-//     vertex (the railed steady state);
-//   - return a point inside every constraint row, to the solver's
-//     scale-relative tolerance;
-//   - command the bits of a fresh controller without the fast path;
+//   - converge within 2 * rows + 1 dual steps;
+//   - return a point inside every constraint row to the absolute 1e-7;
+//   - pass the KKT certificate with the multipliers it reports;
+//   - land on the rail vertex (to 1e-9 relative) when the error pushes
+//     every variable against its rails;
+//   - repeat its bits when the same state is stepped again;
 //   - match the exhaustive enumeration when dim <= 6.
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "control/mpc.hpp"
 #include "control/qp.hpp"
@@ -60,7 +61,7 @@ struct State {
   std::vector<double> freqs;
   Watts set_point{0.0};
   Watts power{0.0};
-  /// True when the optimum is known to be the start point: every decision
+  /// True when the optimum is known to be the rail vertex: every decision
   /// variable is pinned by the rails the error pushes against.
   bool vertex{false};
 };
@@ -230,10 +231,22 @@ void expect_same_decision(const MpcDecision& got, const MpcDecision& want,
   EXPECT_TRUE(same_bits(got.qp_objective, want.qp_objective)) << what;
 }
 
+/// Rail vertex of `s`: every device's first move goes to the nearest
+/// point of its effective box, or stays put inside it, and later moves are
+/// zero, so each cumulative move equals the first.
+linalg::Vector rail_vertex(const State& s) {
+  const std::size_t n = s.devices.size();
+  linalg::Vector v(n * s.cfg.control_horizon);
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto [lo, hi] = effective_box(s, j);
+    v[j] = std::clamp(0.0, lo - s.freqs[j], hi - s.freqs[j]);
+  }
+  return v;
+}
+
 // min x^T x + g^T x with every x_i >= 0 and g = 1e6: the optimum is the
-// start vertex x = 0 with multipliers 1e6, whose regularisation leak
-// (1e-10 * lambda = 1e-4) dwarfs the 1e-7 stationarity floor. The cold loop
-// must stop once the n floor rows are in, and the warm seed must certify.
+// vertex x = 0 with multipliers 1e6. The dual method starts at -5e5 on
+// every axis and adds one floor row per dual step.
 TEST(QpRailed, VertexWithLargeMultipliersConvergesAtTheStart) {
   const std::size_t n = 3;
   QpProblem p;
@@ -246,46 +259,91 @@ TEST(QpRailed, VertexWithLargeMultipliersConvergesAtTheStart) {
     p.g[i] = 1e6;
     p.c(i, i) = -1.0;
   }
-  const QpSolver solver;
   QpWorkspace ws;
-  solver.solve(p, linalg::Vector(n), ws);
+  QpSolver().solve(p, ws);
   ASSERT_TRUE(ws.converged());
-  EXPECT_EQ(ws.iterations(), n + 1);
+  EXPECT_EQ(ws.iterations(), n);
   EXPECT_EQ(ws.active_set(), (std::vector<std::size_t>{0, 1, 2}));
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(ws.x()[i], 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(ws.x()[i], 0.0, 1e-9);
+    EXPECT_NEAR(ws.multipliers()[i], 1e6, 1e-3);
+  }
   EXPECT_TRUE(QpSolver::is_feasible(p, ws.x()));
-
-  const std::vector<std::size_t> seed = ws.active_set();
-  QpWorkspace warm;
-  solver.solve(p, linalg::Vector(n), warm, &seed);
-  EXPECT_TRUE(warm.warm_start_hit());
-  EXPECT_EQ(warm.iterations(), 1u);
-  EXPECT_EQ(warm.objective(), ws.objective());
+  EXPECT_TRUE(certify(p, ws.x(), ws.multipliers()).holds());
 }
 
 // Two copies of x_0 <= 0 give as many rows as variables at n = 2 but pin
-// only one direction, and both carry positive multipliers. Seeded with the
-// pair, the warm start must not certify the start point: x_1 still has to
-// move, which only a rank count (not a row count) sees.
+// only one direction, and both would carry positive multipliers: x_1 still
+// has to reach its unconstrained optimum.
 TEST(QpRailed, DependentRowsCountRankNotRows) {
   QpProblem p;
   p.h = linalg::Matrix{{2.0, 0.0}, {0.0, 2.0}};
   p.g = linalg::Vector{-100.0, -4.0};
   p.c = linalg::Matrix{{1.0, 0.0}, {1.0, 0.0}, {0.0, 1.0}};
   p.b = linalg::Vector{0.0, 0.0, 10.0};
-  const QpSolver solver;
-  const QpSolution cold = solver.solve(p, linalg::Vector(2));
-  ASSERT_TRUE(cold.converged);
-  EXPECT_NEAR(cold.x[0], 0.0, 1e-7);
-  EXPECT_NEAR(cold.x[1], 2.0, 1e-7);
+  const QpSolution sol = QpSolver().solve(p);
+  ASSERT_TRUE(sol.converged);
+  EXPECT_NEAR(sol.x[0], 0.0, 1e-7);
+  EXPECT_NEAR(sol.x[1], 2.0, 1e-7);
+  EXPECT_TRUE(certify(p, sol.x, sol.multipliers).holds());
+}
 
-  const std::vector<std::size_t> seed = {0, 1};
-  QpWorkspace ws;
-  solver.solve(p, linalg::Vector(2), ws, &seed);
-  EXPECT_FALSE(ws.warm_start_hit());
-  ASSERT_TRUE(ws.converged());
-  EXPECT_EQ(ws.x()[0], cold.x[0]);
-  EXPECT_EQ(ws.x()[1], cold.x[1]);
+// min x^T x - 1e6 x_0 - 4 x_1 s.t. x_0 <= 0, alone and with the row
+// duplicated. A regularised primal active-set method stopped these
+// unconverged after 200 iterations at x_0 = 0.0199 and 0.0099, outside
+// their own constraint; the dual method adds the row once and is done.
+TEST(QpRailed, LargeMultiplierOnADependentPairConverges) {
+  for (const std::size_t copies : {1u, 2u}) {
+    QpProblem p;
+    p.h = linalg::Matrix{{2.0, 0.0}, {0.0, 2.0}};
+    p.g = linalg::Vector{-1e6, -4.0};
+    p.c = linalg::Matrix(copies, 2);
+    p.b = linalg::Vector(copies);
+    for (std::size_t i = 0; i < copies; ++i) p.c(i, 0) = 1.0;
+    const QpSolution sol = QpSolver().solve(p);
+    ASSERT_TRUE(sol.converged) << copies << " copies";
+    EXPECT_EQ(sol.iterations, 1u) << copies << " copies";
+    EXPECT_NEAR(sol.x[0], 0.0, 1e-9) << copies << " copies";
+    EXPECT_NEAR(sol.x[1], 2.0, 1e-9) << copies << " copies";
+    EXPECT_TRUE(QpSolver::is_feasible(p, sol.x)) << copies << " copies";
+    const QpCertificate cert = certify(p, sol.x, sol.multipliers);
+    EXPECT_TRUE(cert.holds()) << copies << " copies";
+
+    // The point those stalled solves returned fails the certificate,
+    // whatever multipliers are offered with it.
+    std::vector<double> lambda(copies, 0.0);
+    lambda[0] = 1e6;
+    const linalg::Vector stalled{0.0199 / static_cast<double>(copies), 2.0};
+    const QpCertificate bad = certify(p, stalled, lambda);
+    EXPECT_FALSE(bad.holds()) << copies << " copies";
+    EXPECT_GT(bad.primal, 1e-3);
+  }
+}
+
+TEST(QpCertificate, EachConditionIsChecked) {
+  // min 1/2 |x|^2 - 2 x_0 s.t. x_0 <= 1: x = (1, 0) with lambda = 1.
+  QpProblem p;
+  p.h = linalg::Matrix{{1.0, 0.0}, {0.0, 1.0}};
+  p.g = linalg::Vector{-2.0, 0.0};
+  p.c = linalg::Matrix{{1.0, 0.0}, {0.0, 1.0}};
+  p.b = linalg::Vector{1.0, 5.0};
+  EXPECT_TRUE(certify(p, linalg::Vector{1.0, 0.0}, {1.0, 0.0}).holds());
+  // Infeasible point.
+  EXPECT_GT(certify(p, linalg::Vector{1.1, 0.0}, {0.9, 0.0}).primal, 0.05);
+  // Wrong multiplier: the gradient does not balance.
+  EXPECT_GT(certify(p, linalg::Vector{1.0, 0.0}, {0.5, 0.0}).stationarity,
+            0.1);
+  // Stationary only through a negative multiplier: with g = 0 the
+  // optimum is the origin, and lambda_0 = -1 balances x = (1, 0).
+  p.g = linalg::Vector{0.0, 0.0};
+  EXPECT_GT(certify(p, linalg::Vector{1.0, 0.0}, {-1.0, 0.0}).dual, 0.5);
+  // Multiplier on a slack row.
+  p.g = linalg::Vector{-1.0, -1.0};
+  EXPECT_GT(certify(p, linalg::Vector{1.0, 0.0}, {0.0, 1.0})
+                .complementarity,
+            0.5);
+  EXPECT_THROW((void)certify(p, linalg::Vector{1.0}, {0.0, 0.0}),
+               InvalidArgument);
 }
 
 class QpConvergence : public ::testing::TestWithParam<Regime> {};
@@ -296,7 +354,6 @@ TEST_P(QpConvergence, RandomStatesConvergeFeasiblyAndMatchReferences) {
   constexpr int kStates = 40;
   int brute_checked = 0;
   int vertex_states = 0;
-  int vertex_repeats = 0;
   for (int t = 0; t < kStates; ++t) {
     const State s = draw_state(regime, t % 2 == 1, rng);
     const std::size_t dim = s.devices.size() * s.cfg.control_horizon;
@@ -309,39 +366,34 @@ TEST_P(QpConvergence, RandomStatesConvergeFeasiblyAndMatchReferences) {
     MpcController ctl = make_controller(s, s.cfg);
     const MpcDecision first = ctl.step(s.power, s.freqs);
     const QpProblem qp = ctl.last_qp();
-    const linalg::Vector x0 = ctl.last_qp_start();
     ASSERT_EQ(first.planned_deltas_mhz.size(), dim);
     linalg::Vector x(dim);
     for (std::size_t a = 0; a < dim; ++a) x[a] = first.planned_deltas_mhz[a];
 
     EXPECT_TRUE(first.qp_converged) << what;
     EXPECT_LE(first.qp_iterations, 2 * qp.c.rows() + 1) << what;
-    // Feasible to within the step the solver treats as zero: converged
-    // solves sit up to ~1e-10 * lambda outside their working rows (the KKT
-    // regularisation), which at |x| ~ 1e3 MHz is a few 1e-7.
-    const double slack = 1e-7 * std::max(1.0, x.norm_inf());
-    EXPECT_TRUE(QpSolver::is_feasible(qp, x, slack)) << what;
+    EXPECT_TRUE(QpSolver::is_feasible(qp, x)) << what;
+    const QpCertificate cert =
+        certify(qp, ctl.last_solve().x(), ctl.last_solve().multipliers());
+    EXPECT_TRUE(cert.holds())
+        << what << ": primal " << cert.primal << " stationarity "
+        << cert.stationarity << " dual " << cert.dual << " complementarity "
+        << cert.complementarity;
 
-    MpcConfig plain_cfg = s.cfg;
-    plain_cfg.qp_fast_path = false;
-    MpcController plain = make_controller(s, plain_cfg);
-    expect_same_decision(first, plain.step(s.power, s.freqs),
-                         what + " vs fast path off");
-
-    bool at_start = true;
-    for (std::size_t a = 0; a < dim; ++a) at_start = at_start && x[a] == x0[a];
     if (s.vertex) {
-      EXPECT_TRUE(at_start) << what << ": optimum left the rails";
+      // The dual method reaches the vertex through its steps rather than
+      // starting on it, so it lands within rounding of it, not on its bits.
+      const linalg::Vector vertex = rail_vertex(s);
+      const double bound = 1e-9 * std::max(1.0, vertex.norm_inf());
+      for (std::size_t a = 0; a < dim; ++a) {
+        EXPECT_NEAR(x[a], vertex[a], bound)
+            << what << ": optimum left the rails at component " << a;
+      }
       ++vertex_states;
     }
 
     const MpcDecision& again = ctl.step(s.power, s.freqs);
     expect_same_decision(again, first, what + " repeated");
-    if (at_start && first.active_set_size > 0) {
-      EXPECT_TRUE(again.warm_start_hit) << what;
-      EXPECT_EQ(again.qp_iterations, 1u) << what;
-      ++vertex_repeats;
-    }
 
     if (dim <= 6) {
       const auto reference = brute_force_qp(qp);
@@ -354,10 +406,12 @@ TEST_P(QpConvergence, RandomStatesConvergeFeasiblyAndMatchReferences) {
       ++brute_checked;
     }
   }
-  // Half the states are drawn small enough for the enumeration, and every
-  // fully railed state re-certified on its repeat.
+  // Half the states are drawn small enough for the enumeration; the railed
+  // regimes draw vertex states.
   EXPECT_GE(brute_checked, kStates / 2);
-  EXPECT_GE(vertex_repeats, vertex_states);
+  if (regime == Regime::kFloorOverCap || regime == Regime::kCeilingUnderCap) {
+    EXPECT_EQ(vertex_states, kStates);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

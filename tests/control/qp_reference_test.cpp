@@ -1,6 +1,7 @@
-// Brute-force verification of the active-set QP solver: on randomly
+// Brute-force verification of the dual active-set QP solver: on randomly
 // generated instances the production solver must match the exhaustive
-// active-set enumeration in qp_brute_force.hpp.
+// active-set enumeration in qp_brute_force.hpp and pass its own KKT
+// certificate.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -26,7 +27,7 @@ QpProblem random_problem(capgpu::Rng& rng, std::size_t n, std::size_t m) {
   p.g = Vector(n);
   for (std::size_t i = 0; i < n; ++i) p.g[i] = rng.uniform(-3.0, 3.0);
   // Random half-spaces, each guaranteed to contain the origin strictly
-  // (b_i > 0), so x0 = 0 is feasible.
+  // (b_i > 0), so every instance is feasible.
   p.c = Matrix(m, n);
   p.b = Vector(m);
   for (std::size_t i = 0; i < m; ++i) {
@@ -48,8 +49,10 @@ TEST_P(QpReferenceSweep, ActiveSetMatchesBruteForce) {
     const auto reference = brute_force_qp(p);
     ASSERT_TRUE(reference.has_value());  // origin is feasible, H is SPD
 
-    const QpSolution sol = QpSolver().solve(p, Vector(n));
+    const QpSolution sol = QpSolver().solve(p);
     ASSERT_TRUE(sol.converged);
+    ASSERT_TRUE(certify(p, sol.x, sol.multipliers).holds())
+        << "n=" << n << " m=" << m << " trial=" << trial;
     const double obj_solver = 0.5 * sol.x.dot(p.h * sol.x) + p.g.dot(sol.x);
     const double obj_ref = 0.5 * reference->dot(p.h * *reference) +
                            p.g.dot(*reference);

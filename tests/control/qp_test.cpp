@@ -38,7 +38,7 @@ void add_box(QpProblem& p, const Vector& lo, const Vector& hi) {
 
 TEST(Qp, UnconstrainedMatchesClosedForm) {
   QpProblem p = unconstrained(Matrix{{2, 0}, {0, 4}}, Vector{-2.0, -8.0});
-  const QpSolution sol = QpSolver().solve(p, Vector{0.0, 0.0});
+  const QpSolution sol = QpSolver().solve(p);
   ASSERT_TRUE(sol.converged);
   // x* = -H^{-1} g = (1, 2).
   EXPECT_NEAR(sol.x[0], 1.0, 1e-8);
@@ -50,7 +50,7 @@ TEST(Qp, ActiveBoxConstraintBinds) {
   // Minimum at (1,2) but x1 <= 1.5: solution (1, 1.5).
   QpProblem p = unconstrained(Matrix{{2, 0}, {0, 4}}, Vector{-2.0, -8.0});
   add_box(p, Vector{-10.0, -10.0}, Vector{10.0, 1.5});
-  const QpSolution sol = QpSolver().solve(p, Vector{0.0, 0.0});
+  const QpSolution sol = QpSolver().solve(p);
   ASSERT_TRUE(sol.converged);
   EXPECT_NEAR(sol.x[0], 1.0, 1e-8);
   EXPECT_NEAR(sol.x[1], 1.5, 1e-8);
@@ -63,14 +63,14 @@ TEST(Qp, IdentityHessianProjectsOntoBox) {
   for (int trial = 0; trial < 50; ++trial) {
     const std::size_t n = 4;
     QpProblem p = unconstrained(Matrix::identity(n), Vector(n));
-    Vector lo(n), hi(n), start(n);
+    Vector lo(n), hi(n);
     for (std::size_t i = 0; i < n; ++i) {
       p.g[i] = rng.uniform(-3.0, 3.0);
       lo[i] = -1.0;
       hi[i] = 1.0;
     }
     add_box(p, lo, hi);
-    const QpSolution sol = QpSolver().solve(p, start);
+    const QpSolution sol = QpSolver().solve(p);
     ASSERT_TRUE(sol.converged);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(sol.x[i], std::clamp(-p.g[i], -1.0, 1.0), 1e-7);
@@ -88,41 +88,36 @@ TEST(Qp, CrossCouplingWithConstraint) {
   p.c(0, 0) = 1.0;
   p.c(0, 1) = 1.0;
   p.b = Vector{1.0};
-  const QpSolution sol = QpSolver().solve(p, Vector{0.0, 0.0});
+  const QpSolution sol = QpSolver().solve(p);
   ASSERT_TRUE(sol.converged);
   EXPECT_NEAR(sol.x[0], 0.5, 1e-8);
   EXPECT_NEAR(sol.x[1], 0.5, 1e-8);
 }
 
 TEST(Qp, StartOnConstraintLeavesIt) {
-  // Start at the lower bound; optimum is interior.
+  // The optimum is interior: the unconstrained minimiser is feasible, so
+  // the solve takes no dual step and leaves no row active.
   QpProblem p = unconstrained(Matrix{{2}}, Vector{-2.0});
   add_box(p, Vector{0.0}, Vector{5.0});
-  const QpSolution sol = QpSolver().solve(p, Vector{0.0});
+  const QpSolution sol = QpSolver().solve(p);
   ASSERT_TRUE(sol.converged);
   EXPECT_NEAR(sol.x[0], 1.0, 1e-8);
-}
-
-TEST(Qp, InfeasibleStartThrows) {
-  QpProblem p = unconstrained(Matrix{{2}}, Vector{0.0});
-  add_box(p, Vector{0.0}, Vector{1.0});
-  EXPECT_THROW((void)QpSolver().solve(p, Vector{2.0}),
-               capgpu::InvalidArgument);
+  EXPECT_EQ(sol.iterations, 0u);
+  EXPECT_TRUE(sol.active_set.empty());
 }
 
 TEST(Qp, IndefiniteHessianThrows) {
   QpProblem p = unconstrained(Matrix{{1, 0}, {0, -1}}, Vector{0.0, 0.0});
-  EXPECT_THROW((void)QpSolver().solve(p, Vector{0.0, 0.0}),
+  EXPECT_THROW((void)QpSolver().solve(p),
                capgpu::NumericalError);
 }
 
 TEST(Qp, DimensionMismatchesThrow) {
-  QpProblem p = unconstrained(Matrix{{2}}, Vector{0.0});
-  EXPECT_THROW((void)QpSolver().solve(p, Vector{0.0, 1.0}),
-               capgpu::InvalidArgument);
+  QpProblem p = unconstrained(Matrix{{2}}, Vector{0.0, 1.0});
+  EXPECT_THROW((void)QpSolver().solve(p), capgpu::InvalidArgument);
+  p.g = Vector{0.0};
   p.b = Vector{1.0};  // constraints rows mismatch
-  EXPECT_THROW((void)QpSolver().solve(p, Vector{0.0}),
-               capgpu::InvalidArgument);
+  EXPECT_THROW((void)QpSolver().solve(p), capgpu::InvalidArgument);
 }
 
 TEST(Qp, RedundantConstraintsHandled) {
@@ -132,7 +127,7 @@ TEST(Qp, RedundantConstraintsHandled) {
   p.c(0, 0) = -1.0;
   p.c(1, 0) = -1.0;
   p.b = Vector{0.0, 0.0};  // x >= 0, twice
-  const QpSolution sol = QpSolver().solve(p, Vector{1.0});
+  const QpSolution sol = QpSolver().solve(p);
   ASSERT_TRUE(sol.converged);
   EXPECT_NEAR(sol.x[0], 0.0, 1e-7);
 }
@@ -146,7 +141,7 @@ TEST(Qp, IsFeasibleHelper) {
 
 TEST(Qp, ObjectiveReportedAtSolution) {
   QpProblem p = unconstrained(Matrix{{2}}, Vector{-4.0});
-  const QpSolution sol = QpSolver().solve(p, Vector{0.0});
+  const QpSolution sol = QpSolver().solve(p);
   // x* = 2, objective = 0.5*2*4 - 4*2 = -4.
   EXPECT_NEAR(sol.objective, -4.0, 1e-8);
 }
@@ -172,9 +167,10 @@ TEST_P(QpRandomSweep, KktConditionsHoldOnRandomBoxQps) {
       hi[i] = 1.0;
     }
     add_box(p, lo, hi);
-    const QpSolution sol = QpSolver().solve(p, Vector(n));
+    const QpSolution sol = QpSolver().solve(p);
     ASSERT_TRUE(sol.converged);
     ASSERT_TRUE(QpSolver::is_feasible(p, sol.x));
+    ASSERT_TRUE(certify(p, sol.x, sol.multipliers).holds());
     // KKT stationarity: for inactive coordinates the gradient vanishes;
     // at active bounds it pushes outward.
     const Vector grad = p.h * sol.x + p.g;

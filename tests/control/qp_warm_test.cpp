@@ -1,7 +1,7 @@
-// Warm starting is certify-or-fallback: it may shortcut the solve but must
-// never change the answer. These tests pin the solution (and the objective)
-// of warm-started solves to the cold solve bit for bit — the bench byte-
-// identity contract across the whole repo rests on this.
+// Reused state must never change an answer. These tests pin a workspace
+// solve to the allocating solve, and a long-lived controller to a fresh one,
+// bit for bit: the bench byte-identity contract and the replay tool (which
+// re-solves every record on a fresh controller) rest on this.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,89 +45,22 @@ TEST(QpWarm, WorkspaceSolveMatchesAllocatingSolve) {
   for (const std::size_t n : {1u, 2u, 4u, 6u}) {
     for (int trial = 0; trial < 10; ++trial) {
       const QpProblem p = random_box_qp(n, rng);
-      const QpSolution ref = solver.solve(p, Vector(n));
-      solver.solve(p, Vector(n), ws);
+      const QpSolution ref = solver.solve(p);
+      solver.solve(p, ws);
       ASSERT_EQ(ws.converged(), ref.converged);
       EXPECT_EQ(ws.iterations(), ref.iterations);
       EXPECT_EQ(ws.objective(), ref.objective);
       EXPECT_EQ(ws.active_set(), ref.active_set);
+      EXPECT_EQ(ws.multipliers(), ref.multipliers);
       for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(ws.x()[i], ref.x[i]);
     }
   }
 }
 
-TEST(QpWarm, WarmStartedSolveReturnsIdenticalSolution) {
-  // A drifting sequence of related QPs, solved warm (seeded with the
-  // previous problem's active set) and cold. Identical bits required even
-  // when the seed is stale because the active set just changed.
-  capgpu::Rng rng(23);
-  QpSolver solver;
-  QpWorkspace warm_ws;
-  std::vector<std::size_t> prev_active;
-  const std::size_t n = 5;
-  QpProblem p = random_box_qp(n, rng);
-  for (int period = 0; period < 40; ++period) {
-    for (std::size_t i = 0; i < n; ++i) p.g[i] += rng.uniform(-1.5, 1.5);
-    const QpSolution cold = solver.solve(p, Vector(n));
-    solver.solve(p, Vector(n), warm_ws,
-                 prev_active.empty() ? nullptr : &prev_active);
-    ASSERT_EQ(warm_ws.converged(), cold.converged);
-    EXPECT_EQ(warm_ws.objective(), cold.objective);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(warm_ws.x()[i], cold.x[i]);
-    prev_active = warm_ws.active_set();
-  }
-}
-
-TEST(QpWarm, SteadyStateCertifiesInOneKktSolve) {
-  // min x^2 + 4x s.t. x >= 0: optimum pinned at the lower bound, the shape
-  // of a railed control period (x0 = 0 sits exactly on the active row).
-  QpProblem p;
-  p.h = Matrix{{2.0}};
-  p.g = Vector{4.0};
-  p.c = Matrix(1, 1);
-  p.c(0, 0) = -1.0;
-  p.b = Vector{0.0};
-  QpSolver solver;
-  const QpSolution cold = solver.solve(p, Vector{0.0});
-  ASSERT_TRUE(cold.converged);
-  ASSERT_EQ(cold.active_set, std::vector<std::size_t>{0});
-
-  QpWorkspace ws;
-  solver.solve(p, Vector{0.0}, ws, &cold.active_set);
-  EXPECT_TRUE(ws.converged());
-  EXPECT_EQ(ws.iterations(), 1u);  // certified, no active-set iteration
-  EXPECT_EQ(ws.x()[0], cold.x[0]);
-  EXPECT_EQ(ws.objective(), cold.objective);
-  EXPECT_EQ(ws.active_set(), cold.active_set);
-}
-
-TEST(QpWarm, GarbageWarmSetCannotChangeTheSolution) {
-  capgpu::Rng rng(37);
-  QpSolver solver;
-  const std::size_t n = 4;
-  for (int trial = 0; trial < 10; ++trial) {
-    const QpProblem p = random_box_qp(n, rng);
-    const QpSolution cold = solver.solve(p, Vector(n));
-    const std::vector<std::vector<std::size_t>> seeds = {
-        {0, 1, 2, 3, 4, 5, 6, 7},   // every row
-        {7, 3, 3, 0},               // unsorted with duplicates
-        {123, 999},                 // out of range
-        {2},
-    };
-    for (const auto& seed : seeds) {
-      QpWorkspace ws;
-      solver.solve(p, Vector(n), ws, &seed);
-      ASSERT_EQ(ws.converged(), cold.converged);
-      EXPECT_EQ(ws.objective(), cold.objective);
-      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(ws.x()[i], cold.x[i]);
-    }
-  }
-}
-
 TEST(QpWarm, MpcWarmStateMatchesStatelessControllerBitwise) {
-  // A long-lived controller accumulates warm-start state; a controller
-  // rebuilt from scratch every period has none. Their commands must agree
-  // bit for bit, else every closed-loop bench output would shift.
+  // A long-lived controller carries no solver state between periods, so
+  // it must command the bits of a controller rebuilt from scratch every
+  // period; replay rests on the same property.
   const std::vector<DeviceRange> devices = {
       {DeviceKind::kCpu, 1000.0, 2400.0},
       {DeviceKind::kGpu, 435.0, 1350.0},

@@ -1,67 +1,25 @@
-// The in-place strided factorisations must agree bit-for-bit with the
-// allocating Lu/Cholesky classes: the QP solver's iterates depend on them
-// and every bench output depends on the iterates.
+// The in-place strided Cholesky must agree bit-for-bit with the allocating
+// Cholesky class: the QP solver's iterates depend on it and every bench
+// output depends on the iterates.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/inplace.hpp"
-#include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 
 namespace capgpu::linalg {
 namespace {
 
-Matrix random_matrix(std::size_t n, Rng& rng) {
-  Matrix a(n, n);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.uniform(-2.0, 2.0);
-  return a;
-}
-
 Matrix random_spd(std::size_t n, Rng& rng) {
-  const Matrix m = random_matrix(n, rng);
+  Matrix m(n, n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c) m(r, c) = rng.uniform(-2.0, 2.0);
   Matrix a = m.transposed() * m;
   for (std::size_t i = 0; i < n; ++i) a(i, i) += 0.5;
   return a;
-}
-
-TEST(InplaceLu, MatchesLuBitwiseAtAnyStride) {
-  Rng rng(42);
-  for (const std::size_t n : {1u, 2u, 3u, 5u, 8u, 13u}) {
-    for (const std::size_t stride : {n, n + 3, 2 * n + 1}) {
-      const Matrix a = random_matrix(n, rng);
-      Vector b(n);
-      for (std::size_t i = 0; i < n; ++i) b[i] = rng.uniform(-1.0, 1.0);
-
-      std::vector<double> buf(n * stride, -7.0);  // poison the padding
-      for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t c = 0; c < n; ++c) buf[r * stride + c] = a(r, c);
-      std::vector<std::size_t> piv(n);
-      lu_factor_inplace(buf.data(), n, stride, piv.data());
-      std::vector<double> x(n);
-      lu_solve_inplace(buf.data(), n, stride, piv.data(), b.data().data(),
-                       x.data());
-
-      const Vector ref = Lu(a).solve(b);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(x[i], ref[i]) << "n=" << n << " stride=" << stride;
-      }
-      for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t c = n; c < stride; ++c)
-          EXPECT_EQ(buf[r * stride + c], -7.0) << "padding clobbered";
-    }
-  }
-}
-
-TEST(InplaceLu, SingularThrows) {
-  std::vector<double> buf{1.0, 2.0, 2.0, 4.0};  // rank 1
-  std::vector<std::size_t> piv(2);
-  EXPECT_THROW(lu_factor_inplace(buf.data(), 2, 2, piv.data()),
-               capgpu::NumericalError);
 }
 
 TEST(InplaceCholesky, MatchesCholeskyBitwise) {

@@ -83,7 +83,7 @@ TEST(ControlAllocations, SteadyStateStepIsAllocationFree) {
 
   std::vector<double> f = {2400.0, 1350.0, 1350.0};
   // Warm-up periods size every persistent buffer (QP workspace, decision
-  // vectors, warm-start seed) and settle the loop onto its fixed point.
+  // vectors) and settle the loop onto its fixed point.
   for (int k = 0; k < 8; ++k) {
     const MpcDecision& d = ctrl.step(plant.predict(f), f);
     f = d.target_freqs_mhz;  // same size: copy-assign reuses capacity
@@ -104,8 +104,8 @@ TEST(ControlAllocations, SteadyStateStepIsAllocationFree) {
 
 TEST(ControlAllocations, DisturbedPeriodsStayAllocationFree) {
   // Power-measurement disturbances change the QP's right-hand side and can
-  // flip the active set, driving full cold active-set iterations — those
-  // must be allocation-free too, not just the warm-certified fast path.
+  // flip the active set, driving dual steps that add and drop rows — those
+  // must be allocation-free too, not just interior periods.
   const LinearPowerModel plant({0.05, 0.21, 0.21}, 300.0);
   MpcController ctrl = make_controller(plant);
 

@@ -54,7 +54,7 @@ TEST(FlightRecord, JsonlRoundTripIsBitExact) {
   rec.mpc.planned_deltas_mhz = {-0.0, 12.345678901234567, 1e-300};
   rec.mpc.qp_iterations = 3;
   rec.mpc.qp_converged = true;
-  rec.mpc.warm_start_hit = true;
+  rec.mpc.fast_path_hit = true;
   rec.mpc.qp_objective = 1234.5678901234567;
   rec.mpc.active_set_size = 4;
   rec.mpc.floor_binding = {0, 1, 0};
@@ -76,15 +76,14 @@ TEST(FlightRecord, JsonlRoundTripIsBitExact) {
                          rec.mpc.gains_w_per_mhz[0]));
   EXPECT_EQ(back.mpc.prediction_horizon, 8u);
   EXPECT_EQ(back.mpc.qp_iterations, 3u);
-  EXPECT_TRUE(back.mpc.warm_start_hit);
+  EXPECT_TRUE(back.mpc.fast_path_hit);
   EXPECT_EQ(back.mpc.floor_binding, rec.mpc.floor_binding);
   EXPECT_EQ(back.policy, "capgpu");
 
-  // Logs written before the region cache and the structured tier were
-  // removed carry their hit flags; such a line still parses, and
-  // serializes again without them.
+  // Logs written by older solvers carry hit flags of removed tiers; such a
+  // line still parses, and serializes again without them.
   std::string legacy = line;
-  legacy.insert(legacy.find("\"warm_start_hit\""), "\"cache_hit\":0,");
+  legacy.insert(legacy.find("\"fast_path_hit\""), "\"cache_hit\":0,");
   legacy.insert(legacy.find("\"qp_objective\""), "\"structured_hit\":0,");
   ASSERT_NE(legacy, line);
   EXPECT_EQ(FlightRecord::from_json(json::parse(legacy)).to_jsonl(), line);
@@ -166,6 +165,17 @@ TEST(FlightRecord, UncheckedCountsAreRejectedNamingTheKey) {
   rejects("\"failsafe_state\":", "3000000000");
   rejects("\"device_kinds\":", "[0,-2147483649]");
   rejects("\"floor_binding\":", "[0,0.5]");
+}
+
+TEST(FlightRecord, NonObjectLinesAreRejected) {
+  // Every valid JSON value parses; only an object is a record. A line such
+  // as [[[]]] once read as a record of defaults, so a log of them replayed
+  // nothing and still passed.
+  for (const char* line : {"[[[]]]", "1", "\"period\"", "null", "[{}]"}) {
+    EXPECT_THROW(FlightRecord::from_json(json::parse(line)), InvalidArgument)
+        << line;
+  }
+  EXPECT_NO_THROW(FlightRecord::from_json(json::parse("{\"period\":1}")));
 }
 
 TEST(FlightRecord, AbsentMpcSerializesAsNull) {

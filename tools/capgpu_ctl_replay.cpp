@@ -8,14 +8,15 @@
 // power sample the solver saw. The tool rebuilds a fresh MpcController per
 // record from that state, re-solves the period, and asserts the resulting
 // caps are bit-identical to the recorded decision (doubles serialize at
-// %.17g, so the round trip is exact; the active-set solver is
-// deterministic).
+// %.17g, so the round trip is exact; the controller carries no solver
+// state between periods and the QP solver is deterministic). A period
+// recorded by a different solver build replays as a mismatch.
 //
-// Solver-tier attribution: periods are counted by the tier that decided
-// them (warm / fast / cold). Every fast-path and warm-start period is
-// additionally re-solved with the fast path disabled and without a warm
-// seed, and asserted bit-identical to that pure active-set solve — the
-// recorded run is the proof that the tiers change cost, never bits.
+// Independently of the recorded bits, every re-solve must pass the QP's
+// KKT certificate (control::certify: primal feasibility, stationarity,
+// multiplier signs, complementarity), so a replay proves the decisions
+// optimal, not just reproducible. Periods are also counted by solver path:
+// fast (the unconstrained minimiser was feasible) or cold (dual steps).
 //
 // --counterfactual re-solves every period under a modified configuration
 // (a different power cap, a different prediction horizon) and reports how
@@ -23,8 +24,12 @@
 // prediction-error residuals and binding-constraint fractions this
 // attributes SLO burn to model error vs constraint pressure.
 //
-// Exit status: 0 all replayed periods match, 1 any mismatch, 2 usage or
-// input errors.
+// Exit status: 0 every replayed period matches and passes the certificate,
+// 1 any mismatch or failed certificate, 2 usage or input errors (a line
+// that is not a flight record is reported as <path>:<line>), 3 nothing
+// re-solved because no record carries MPC state (a log of a baseline
+// policy, say).
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -74,13 +79,11 @@ std::vector<FlightRecord> load_flight_log(const std::string& path) {
 
 /// Rebuilds the recorded controller and re-solves the period. `cap` /
 /// `horizon` override the recorded configuration for counterfactuals.
-/// `pure_active_set` disables the fast path to produce the reference
-/// active-set solution for cross-checks (a fresh controller has no warm
-/// seed either way).
-capgpu::control::MpcDecision resolve(const FlightRecord& rec,
-                                     std::optional<double> cap,
-                                     std::optional<std::size_t> horizon,
-                                     bool pure_active_set = false) {
+/// `cert`, when given, receives the KKT certificate of the re-solve.
+capgpu::control::MpcDecision resolve(
+    const FlightRecord& rec, std::optional<double> cap,
+    std::optional<std::size_t> horizon,
+    capgpu::control::QpCertificate* cert = nullptr) {
   const FlightMpcState& m = rec.mpc;
   const std::size_t n = m.gains_w_per_mhz.size();
   capgpu::control::MpcConfig cfg;
@@ -90,7 +93,6 @@ capgpu::control::MpcDecision resolve(const FlightRecord& rec,
   cfg.reference_decay = m.reference_decay;
   cfg.violation_decay = m.violation_decay;
   cfg.regularization = m.regularization;
-  cfg.qp_fast_path = !pure_active_set;
   std::vector<capgpu::control::DeviceRange> devices(n);
   for (std::size_t j = 0; j < n; ++j) {
     devices[j].kind = m.device_kinds[j] == 0 ? capgpu::DeviceKind::kCpu
@@ -118,7 +120,13 @@ capgpu::control::MpcDecision resolve(const FlightRecord& rec,
   if (!m.weights.empty()) ctl.set_control_weights(m.weights);
   // Counterfactual caps shift the measurement-vs-set-point error; feed the
   // recorded measurement either way — only the target changes.
-  return ctl.step(Watts{m.fed_power_w}, rec.freqs_mhz);
+  const capgpu::control::MpcDecision d =
+      ctl.step(Watts{m.fed_power_w}, rec.freqs_mhz);
+  if (cert != nullptr) {
+    *cert = capgpu::control::certify(ctl.last_qp(), ctl.last_solve().x(),
+                                      ctl.last_solve().multipliers());
+  }
+  return d;
 }
 
 bool bit_identical(double a, double b) {
@@ -129,19 +137,13 @@ struct ReplayStats {
   std::size_t replayed{0};
   std::size_t exact{0};
   std::size_t mismatches{0};
-  /// Periods by deciding tier: warm / fast / cold.
-  std::size_t by_tier[3]{};
-  /// Warm/fast periods proven bit-identical to a pure active-set re-solve.
-  std::size_t shortcut_crosschecked{0};
+  std::size_t certified{0};
+  /// Largest residual of any re-solve's certificate.
+  double worst_residual{0.0};
+  /// Periods by recorded solver path: fast / cold.
+  std::size_t fast{0};
+  std::size_t cold{0};
 };
-
-/// 0 warm, 1 fast, 2 cold — mirrors the capgpu_ctl_solver_path_total label
-/// order.
-std::size_t tier_of(const FlightMpcState& m) {
-  if (m.warm_start_hit) return 0;
-  if (m.fast_path_hit) return 1;
-  return 2;
-}
 
 }  // namespace
 
@@ -178,12 +180,23 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "[replay] empty flight log\n");
       return 2;
     }
+    if (mpc_present == 0) {
+      std::printf("[replay] nothing re-solved: no record carries MPC "
+                  "state\n");
+      return 3;
+    }
 
     ReplayStats stats;
     for (const FlightRecord& rec : records) {
       if (!rec.mpc.present) continue;
-      const capgpu::control::MpcDecision d = resolve(rec, {}, {});
+      capgpu::control::QpCertificate cert;
+      const capgpu::control::MpcDecision d = resolve(rec, {}, {}, &cert);
       ++stats.replayed;
+      if (rec.mpc.fast_path_hit) {
+        ++stats.fast;
+      } else {
+        ++stats.cold;
+      }
       bool ok = d.target_freqs_mhz.size() == rec.targets_mhz.size();
       double worst = 0.0;
       for (std::size_t j = 0; ok && j < rec.targets_mhz.size(); ++j) {
@@ -193,26 +206,18 @@ int main(int argc, char** argv) {
         if (!bit_identical(got, want)) ok = false;
       }
       if (ok) ++stats.exact;
-      const std::size_t tier = tier_of(rec.mpc);
-      ++stats.by_tier[tier];
-      if (tier != 2) {
-        // Warm-start and fast-path hits claim bitwise identity with the
-        // active-set solve they replaced; prove it by re-solving without
-        // either shortcut.
-        const capgpu::control::MpcDecision ref = resolve(rec, {}, {}, true);
-        bool same = ref.target_freqs_mhz.size() == rec.targets_mhz.size();
-        for (std::size_t j = 0; same && j < rec.targets_mhz.size(); ++j) {
-          same = bit_identical(ref.target_freqs_mhz[j], rec.targets_mhz[j]);
-        }
-        if (same) {
-          ++stats.shortcut_crosschecked;
-        } else {
-          ok = false;
-          std::fprintf(stderr,
-                       "[replay] MISMATCH pid=%d period=%zu: %s tier "
-                       "diverged from the pure active-set re-solve\n",
-                       rec.pid, rec.period, tier == 0 ? "warm" : "fast");
-        }
+      stats.worst_residual =
+          std::max({stats.worst_residual, cert.primal, cert.stationarity,
+                    cert.dual, cert.complementarity});
+      if (cert.holds()) {
+        ++stats.certified;
+      } else {
+        ok = false;
+        std::fprintf(stderr,
+                     "[replay] CERTIFICATE pid=%d period=%zu: primal %.3g "
+                     "stationarity %.3g dual %.3g complementarity %.3g\n",
+                     rec.pid, rec.period, cert.primal, cert.stationarity,
+                     cert.dual, cert.complementarity);
       }
       if (!ok) {
         ++stats.mismatches;
@@ -235,15 +240,13 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "[replay] re-solved %zu periods: %zu bit-identical, %zu mismatches\n",
-        stats.replayed, stats.exact, stats.mismatches);
-    std::printf("[solver] periods by tier: warm=%zu fast=%zu cold=%zu\n",
-                stats.by_tier[0], stats.by_tier[1], stats.by_tier[2]);
-    if (stats.by_tier[0] + stats.by_tier[1] > 0) {
-      std::printf(
-          "[solver] cross-checked against pure active-set re-solves: "
-          "%zu/%zu warm+fast periods bit-identical\n",
-          stats.shortcut_crosschecked, stats.by_tier[0] + stats.by_tier[1]);
-    }
+        stats.replayed, stats.exact, stats.replayed - stats.exact);
+    std::printf(
+        "[certificate] %zu/%zu re-solved periods pass the KKT certificate "
+        "(worst scaled residual %.3g)\n",
+        stats.certified, stats.replayed, stats.worst_residual);
+    std::printf("[solver] periods by path: fast=%zu cold=%zu\n", stats.fast,
+                stats.cold);
 
     // Attribution summary: prediction-error residuals measure how wrong the
     // model was; binding fractions measure how often the constraint box —
@@ -350,12 +353,13 @@ int main(int argc, char** argv) {
     }
 
     if (stats.mismatches > 0) {
-      std::printf("[replay] FAIL: %zu of %zu periods drifted\n",
+      std::printf("[replay] FAIL: %zu of %zu periods drifted or failed the "
+                  "certificate\n",
                   stats.mismatches, stats.replayed);
       return 1;
     }
     std::printf("[replay] PASS: every re-solved period reproduced the "
-                "recorded caps\n");
+                "recorded caps and passed the certificate\n");
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());

@@ -24,7 +24,9 @@
 // Usage: capgpu_report <events.jsonl> [slo_report.json] [flight.jsonl]
 //                      [resilience.json] [energy.json]
 // Pass "-" to skip an optional position (e.g. feed an energy report
-// without a flight log).
+// without a flight log). Exit status: 0 on success, 2 on usage errors and
+// on an input that cannot be read or is rejected; the message names the
+// file, and the line for the JSONL inputs.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -73,27 +75,45 @@ struct PidLog {
 
 std::string read_file(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
-  if (!file) throw capgpu::Error("cannot open: " + path);
+  if (!file) throw capgpu::Error("cannot open the file");
   std::ostringstream buf;
   buf << file.rdbuf();
   return buf.str();
+}
+
+/// Calls `on_record` with every document of the JSONL file at `path`. An
+/// error while parsing or handling a record is rethrown naming its line.
+template <typename OnRecord>
+void for_each_record(const std::string& path, OnRecord&& on_record) {
+  const std::string text = read_file(path);
+  std::size_t pos = 0;
+  std::size_t line = 1;
+  while (true) {
+    while (pos < text.size() &&
+           (text[pos] == '\n' || text[pos] == '\r' || text[pos] == ' ')) {
+      if (text[pos] == '\n') ++line;
+      ++pos;
+    }
+    if (pos >= text.size()) break;
+    const std::size_t start = pos;
+    try {
+      on_record(capgpu::json::parse_prefix(text, pos));
+    } catch (const std::exception& e) {
+      throw capgpu::Error("line " + std::to_string(line) + ": " + e.what());
+    }
+    line += static_cast<std::size_t>(
+        std::count(text.begin() + static_cast<std::ptrdiff_t>(start),
+                   text.begin() + static_cast<std::ptrdiff_t>(pos), '\n'));
+  }
 }
 
 constexpr const char* kStagePrefix = "stage_latency_s/";
 
 // Parses the JSONL event stream into per-pid logs.
 std::map<int, PidLog> load_events(const std::string& path) {
-  const std::string text = read_file(path);
   std::map<int, PidLog> logs;
-  std::size_t pos = 0;
-  while (true) {
-    while (pos < text.size() &&
-           (text[pos] == '\n' || text[pos] == '\r' || text[pos] == ' ')) {
-      ++pos;
-    }
-    if (pos >= text.size()) break;
-    const Value ev = capgpu::json::parse_prefix(text, pos);
-    if (!ev.is_object()) continue;
+  for_each_record(path, [&logs](const Value& ev) {
+    if (!ev.is_object()) return;
     const std::string ph = ev.string_or("ph", "");
     const std::string name = ev.string_or("name", "");
     const int pid = static_cast<int>(ev.number_or("pid", 0.0));
@@ -123,7 +143,7 @@ std::map<int, PidLog> load_events(const std::string& path) {
                 name == "emergency_engage" || name == "emergency_release")) {
       log.protection.push_back({ts, name, ""});
     }
-  }
+  });
   return logs;
 }
 
@@ -269,18 +289,10 @@ struct FlightPoint {
 };
 
 std::map<int, std::vector<FlightPoint>> load_flight(const std::string& path) {
-  const std::string text = read_file(path);
   std::map<int, std::vector<FlightPoint>> points;
-  std::size_t pos = 0;
-  while (true) {
-    while (pos < text.size() &&
-           (text[pos] == '\n' || text[pos] == '\r' || text[pos] == ' ')) {
-      ++pos;
-    }
-    if (pos >= text.size()) break;
+  for_each_record(path, [&points](const Value& v) {
     const capgpu::telemetry::FlightRecord rec =
-        capgpu::telemetry::FlightRecord::from_json(
-            capgpu::json::parse_prefix(text, pos));
+        capgpu::telemetry::FlightRecord::from_json(v);
     FlightPoint p;
     p.t_s = rec.t_s;
     p.has_residual = rec.outcome_filled && rec.mpc.present;
@@ -290,7 +302,7 @@ std::map<int, std::vector<FlightPoint>> load_flight(const std::string& path) {
       p.floor_bound = p.floor_bound || b != 0;
     }
     points[rec.pid].push_back(p);
-  }
+  });
   return points;
 }
 
@@ -519,6 +531,7 @@ int main(int argc, char** argv) {
     if (argc <= index) return nullptr;
     return std::string_view(argv[index]) == "-" ? nullptr : argv[index];
   };
+  std::string input = argv[1];  // the file being read, for error messages
   try {
     const std::map<int, PidLog> logs = load_events(argv[1]);
     std::size_t events = 0;
@@ -531,13 +544,25 @@ int main(int argc, char** argv) {
                 argv[1], events, logs.size());
     print_attribution(logs);
     print_alert_correlation(logs);
-    if (const char* path = arg_or_skip(2)) print_slo_report(path);
-    if (const char* path = arg_or_skip(3)) print_flight_join(logs, path);
-    if (const char* path = arg_or_skip(4)) print_resilience_report(path);
-    if (const char* path = arg_or_skip(5)) print_energy_frontier(path);
+    if (const char* path = arg_or_skip(2)) {
+      input = path;
+      print_slo_report(path);
+    }
+    if (const char* path = arg_or_skip(3)) {
+      input = path;
+      print_flight_join(logs, path);
+    }
+    if (const char* path = arg_or_skip(4)) {
+      input = path;
+      print_resilience_report(path);
+    }
+    if (const char* path = arg_or_skip(5)) {
+      input = path;
+      print_energy_frontier(path);
+    }
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "capgpu_report: %s\n", e.what());
-    return 1;
+    std::fprintf(stderr, "capgpu_report: %s: %s\n", input.c_str(), e.what());
+    return 2;
   }
   return 0;
 }
