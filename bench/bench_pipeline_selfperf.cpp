@@ -419,14 +419,9 @@ constexpr double kOpenHorizonS = 4000.0;
 // every stream monitor once per period; an untrimmed monitor would grow
 // without bound and the bench would mostly measure cold deque pages).
 constexpr double kTrimPeriodS = 4.0;
-
-void trim_monitors(workload::InferenceStream& stream, sim::SimTime now) {
-  stream.images_throughput().trim(now);
-  stream.batch_latency().trim(now);
-  stream.queue_delay().trim(now);
-  stream.preprocess_latency().trim(now);
-  stream.preprocess_compute_latency().trim(now);
-}
+// Monitor retention of both sides: the legacy monitors' 600-s trim, so the
+// A/B compares equal working sets.
+constexpr double kTrimHorizonS = 600.0;
 
 workload::StreamParams bench_params(bool open_loop) {
   workload::StreamParams p;
@@ -487,8 +482,9 @@ Measurement run_closed_loop() {
   } else {
     workload::InferenceStream stream(engine, server, 0, p, Rng(1));
     stream.start();
-    engine.schedule_periodic(kTrimPeriodS,
-                             [&] { trim_monitors(stream, engine.now()); });
+    engine.schedule_periodic(kTrimPeriodS, [&] {
+      stream.trim_monitors(engine.now(), kTrimHorizonS);
+    });
     engine.run_until(kHorizonS);
     done = stream.images_completed();
   }
@@ -532,8 +528,9 @@ Measurement run_open_loop() {
   } else {
     workload::InferenceStream stream(engine, server, 0, p, Rng(1));
     stream.start();
-    engine.schedule_periodic(kTrimPeriodS,
-                             [&] { trim_monitors(stream, engine.now()); });
+    engine.schedule_periodic(kTrimPeriodS, [&] {
+      stream.trim_monitors(engine.now(), kTrimHorizonS);
+    });
     workload::ArrivalProcess arrivals(engine, Rng(7), schedule);
     arrivals.on_arrivals = [&stream](const double* t, std::size_t n) {
       stream.submit_arrivals(t, n);

@@ -31,12 +31,19 @@ ctest --test-dir build -L fleet --output-on-failure
 # End-to-end benchmark smoke: perfbench/ builds src/ as its own CMake
 # project (.bench_build/perfbench), so ctest never compiles it. Run every
 # workload for one second and require a correct result with no failed
-# operation on the last line of stdout.
+# operation on the last line of stdout. The 256-rig fleet must also peak
+# below 64 MB of RSS: each rig's monitors hold only the window their
+# consumers read, and a retention regression (~600 MB when every monitor
+# keeps the whole run) fails here.
 for w in testbed-sweep budget-slash-8gpu fleet-brownout-256; do
   result=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 \
              --trace 0 | tail -n 1)
   jq -e '.correct == true and .failed == 0' <<<"$result" >/dev/null \
     || { echo "FAIL: perfbench $w: $result" >&2; exit 1; }
+  if [ "$w" = fleet-brownout-256 ]; then
+    jq -e '.metrics.peak_rss_mb.value < 64' <<<"$result" >/dev/null \
+      || { echo "FAIL: perfbench $w peak RSS not below 64 MB: $result" >&2; exit 1; }
+  fi
 done
 
 # Release perf smoke: the allocation-free control-solve tests plus short

@@ -1,7 +1,6 @@
 #include "core/rig.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "telemetry/flight.hpp"
@@ -327,9 +326,7 @@ RunResult ServerRig::run(baselines::IServerPowerController& policy,
       }
       if (active_slo[i] > 0.0) {
         const std::size_t cnt = lat.count(now, period_s);
-        const auto misses = static_cast<std::size_t>(
-            std::llround(lat.miss_rate(now, period_s, active_slo[i]) *
-                         static_cast<double>(cnt)));
+        const std::size_t misses = lat.misses(now, period_s, active_slo[i]);
         for (std::size_t k = 0; k < cnt; ++k) {
           result.slo_misses[i].add(k < misses);
         }
@@ -438,14 +435,9 @@ void ServerRig::end_period(double set_point_w, double period_s) {
     }
     ledger_->end_period();
   }
-  for (auto& s : streams_) {
-    s->batch_latency().trim(now);
-    s->images_throughput().trim(now);
-    s->queue_delay().trim(now);
-    s->preprocess_latency().trim(now);
-  }
-  cpu_task_->throughput().trim(now);
-  cpu_task_->subset_latency().trim(now);
+  const double horizon = std::max(period_s, config_.throughput_window.value);
+  for (auto& s : streams_) s->trim_monitors(now, horizon);
+  cpu_task_->trim_monitors(now, horizon);
 }
 
 void ServerRig::settle() {

@@ -196,8 +196,12 @@ class ServerRig {
   /// (a sensor gap holds the previous reading so the integral stays
   /// continuous; chaos runs integrate the true plant, not the faulted
   /// readings) at cap `set_point_w`, and drains the streams' completed
-  /// batches into the ledger. Then trims every monitor to its retention
-  /// horizon.
+  /// batches into the ledger. Then trims every monitor of the streams and
+  /// the CPU task to max(period_s, RigConfig::throughput_window): the
+  /// longest window any consumer of this rig reads (the per-period reads
+  /// of run() and of the fleet rig, normalized_throughputs(),
+  /// gpu_demand()). A later query on a longer finite window throws
+  /// InvalidArgument.
   void end_period(double set_point_w, double period_s);
 
   /// Settles the rig after its loop stops: pushes stage stats deferred

@@ -1,7 +1,6 @@
 #include "fleet/fleet_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -103,10 +102,7 @@ void build_rig(const FleetConfig& cfg, const faults::DomainTree& tree,
     const double now = rig_ptr->engine().now();
     auto& s = rig_ptr->stream(0);
     auto& lat = s.batch_latency();
-    const std::size_t cnt = lat.count(now, period_s);
-    const auto misses = static_cast<std::uint64_t>(std::llround(
-        lat.miss_rate(now, period_s, slo) * static_cast<double>(cnt)));
-    mon->record(now, cnt, misses);
+    mon->record(now, lat.count(now, period_s), lat.misses(now, period_s, slo));
     fr->images += s.images_throughput().rate(now, period_s) * period_s;
     (void)s.take_stage_period_means();
     rig_ptr->end_period(ctl->set_point().value, period_s);

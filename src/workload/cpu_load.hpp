@@ -71,6 +71,11 @@ class CpuTaskSim {
   /// Wall-clock time of one subset evaluation (paper Fig 7(d)).
   [[nodiscard]] LatencyMonitor& subset_latency() { return subset_latency_; }
   [[nodiscard]] const LatencyMonitor& subset_latency() const { return subset_latency_; }
+  /// Trims both monitors to `horizon` seconds before `now`.
+  void trim_monitors(sim::SimTime now, double horizon) {
+    throughput_.trim(now, horizon);
+    subset_latency_.trim(now, horizon);
+  }
 
   [[nodiscard]] std::uint64_t subsets_evaluated() const { return subsets_; }
   [[nodiscard]] const CpuTaskParams& params() const { return params_; }

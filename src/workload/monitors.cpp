@@ -1,6 +1,7 @@
 #include "workload/monitors.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/error.hpp"
 
@@ -15,13 +16,34 @@ void SampleRing::grow() {
   mask_ = cap - 1;
 }
 
+void SampleRing::trim(sim::SimTime now, double horizon) {
+  const double c = now - horizon;
+  while (size_ > 0 && buf_[head_].time <= c) {
+    head_ = (head_ + 1) & mask_;
+    --size_;
+  }
+  if (c > trimmed_through_) {
+    trimmed_through_ = c;
+    horizon_ = horizon;
+  }
+}
+
+void SampleRing::retention_error(double window) const {
+  char msg[128];
+  std::snprintf(msg, sizeof msg,
+                "monitor query window of %g s reaches past the retained "
+                "horizon of %g s",
+                window, horizon_);
+  throw InvalidArgument(msg);
+}
+
 ThroughputMonitor::ThroughputMonitor(double max_rate) : max_rate_(max_rate) {
   CAPGPU_REQUIRE(max_rate > 0.0, "max_rate must be positive");
 }
 
 double ThroughputMonitor::rate(sim::SimTime now, double window) const {
   CAPGPU_REQUIRE(window > 0.0, "window must be positive");
-  const double cutoff = now - window;
+  const double cutoff = events_.cutoff(now, window);
   double sum = 0.0;
   for (std::size_t i = events_.size(); i-- > 0;) {
     const SampleRing::Entry& e = events_[i];
@@ -36,15 +58,8 @@ double ThroughputMonitor::normalized_rate(sim::SimTime now,
   return std::clamp(rate(now, window) / max_rate_, 0.0, 1.0);
 }
 
-void ThroughputMonitor::trim(sim::SimTime now, double horizon) {
-  const double cutoff = now - horizon;
-  while (!events_.empty() && events_[0].time <= cutoff) {
-    events_.pop_front();
-  }
-}
-
 double LatencyMonitor::mean(sim::SimTime now, double window) const {
-  const double cutoff = now - window;
+  const double cutoff = samples_.cutoff(now, window);
   double sum = 0.0;
   std::size_t n = 0;
   for (std::size_t i = samples_.size(); i-- > 0;) {
@@ -57,7 +72,7 @@ double LatencyMonitor::mean(sim::SimTime now, double window) const {
 }
 
 double LatencyMonitor::max(sim::SimTime now, double window) const {
-  const double cutoff = now - window;
+  const double cutoff = samples_.cutoff(now, window);
   double m = 0.0;
   for (std::size_t i = samples_.size(); i-- > 0;) {
     const SampleRing::Entry& s = samples_[i];
@@ -68,7 +83,7 @@ double LatencyMonitor::max(sim::SimTime now, double window) const {
 }
 
 std::size_t LatencyMonitor::count(sim::SimTime now, double window) const {
-  const double cutoff = now - window;
+  const double cutoff = samples_.cutoff(now, window);
   std::size_t n = 0;
   for (std::size_t i = samples_.size(); i-- > 0;) {
     if (samples_[i].time <= cutoff) break;
@@ -77,35 +92,26 @@ std::size_t LatencyMonitor::count(sim::SimTime now, double window) const {
   return n;
 }
 
-double LatencyMonitor::miss_rate(sim::SimTime now, double window,
-                                 double threshold) const {
-  const double cutoff = now - window;
+std::size_t LatencyMonitor::misses(sim::SimTime now, double window,
+                                   double threshold) const {
+  const double cutoff = samples_.cutoff(now, window);
   std::size_t n = 0;
-  std::size_t misses = 0;
   for (std::size_t i = samples_.size(); i-- > 0;) {
     const SampleRing::Entry& s = samples_[i];
     if (s.time <= cutoff) break;
-    ++n;
-    if (s.value > threshold) ++misses;
+    if (s.value > threshold) ++n;
   }
-  return n ? static_cast<double>(misses) / static_cast<double>(n) : 0.0;
+  return n;
 }
 
 void LatencyMonitor::visit(sim::SimTime now, double window,
                            const std::function<void(double)>& fn) const {
-  const double cutoff = now - window;
+  const double cutoff = samples_.cutoff(now, window);
   // Find the oldest in-window sample, then iterate forward.
   std::size_t first = samples_.size();
   while (first > 0 && samples_[first - 1].time > cutoff) --first;
   for (std::size_t i = first; i < samples_.size(); ++i) {
     fn(samples_[i].value);
-  }
-}
-
-void LatencyMonitor::trim(sim::SimTime now, double horizon) {
-  const double cutoff = now - horizon;
-  while (!samples_.empty() && samples_[0].time <= cutoff) {
-    samples_.pop_front();
   }
 }
 

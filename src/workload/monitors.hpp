@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -23,6 +24,11 @@ namespace capgpu::workload {
 /// through one power-of-two allocation. Scans visit the same elements in
 /// the same order as the deque did, so every windowed statistic is
 /// bit-identical to the old storage.
+///
+/// Retention is enforced: trim() remembers its cutoff, and cutoff() refuses
+/// a finite query window that reaches before it, since the samples that
+/// query needs are gone. An infinite window reads every retained sample; a
+/// ring that was never trimmed answers every window.
 class SampleRing {
  public:
   struct Entry {
@@ -31,7 +37,6 @@ class SampleRing {
   };
 
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
 
   /// i-th live entry, oldest first (i < size()).
   [[nodiscard]] const Entry& operator[](std::size_t i) const {
@@ -44,18 +49,30 @@ class SampleRing {
     ++size_;
   }
 
-  void pop_front() {
-    head_ = (head_ + 1) & mask_;
-    --size_;
+  /// Drops every entry stamped at or before `now - horizon`.
+  void trim(sim::SimTime now, double horizon);
+
+  /// Start of the query window (now - window, now]. Throws InvalidArgument
+  /// when a finite window reaches before the last trim's cutoff.
+  [[nodiscard]] double cutoff(sim::SimTime now, double window) const {
+    const double c = now - window;
+    if (c < trimmed_through_ && window != kForever) retention_error(window);
+    return c;
   }
 
  private:
+  static constexpr double kForever = std::numeric_limits<double>::infinity();
+
   void grow();
+  [[noreturn]] void retention_error(double window) const;
 
   std::vector<Entry> buf_;
   std::size_t head_{0};
   std::size_t size_{0};
   std::size_t mask_{0};  // buf_.size() - 1 (capacity is a power of two)
+  /// Cutoff and horizon of the last trim (-inf / +inf before the first).
+  double trimmed_through_{-kForever};
+  double horizon_{kForever};
 };
 
 /// Counts completion events and reports a windowed rate.
@@ -81,9 +98,10 @@ class ThroughputMonitor {
   [[nodiscard]] double max_rate() const { return max_rate_; }
   [[nodiscard]] double total() const { return total_; }
 
-  /// Drops events older than `horizon` seconds before `now` (bounds memory;
-  /// the backing ring keeps its capacity for reuse).
-  void trim(sim::SimTime now, double horizon = 600.0);
+  /// Drops events at or before `now - horizon` (bounds memory; the backing
+  /// ring keeps its capacity for reuse). Later queries may not reach past
+  /// the dropped events (see SampleRing).
+  void trim(sim::SimTime now, double horizon) { events_.trim(now, horizon); }
 
  private:
   double max_rate_;
@@ -105,9 +123,9 @@ class LatencyMonitor {
   [[nodiscard]] double max(sim::SimTime now, double window) const;
   /// Number of samples in the window.
   [[nodiscard]] std::size_t count(sim::SimTime now, double window) const;
-  /// Fraction of samples in the window exceeding `threshold`; 0 when none.
-  [[nodiscard]] double miss_rate(sim::SimTime now, double window,
-                                 double threshold) const;
+  /// Number of samples in the window exceeding `threshold`.
+  [[nodiscard]] std::size_t misses(sim::SimTime now, double window,
+                                   double threshold) const;
 
   [[nodiscard]] const telemetry::RunningStats& lifetime() const { return lifetime_; }
 
@@ -116,7 +134,9 @@ class LatencyMonitor {
   void visit(sim::SimTime now, double window,
              const std::function<void(double)>& fn) const;
 
-  void trim(sim::SimTime now, double horizon = 600.0);
+  /// Drops samples at or before `now - horizon`; lifetime stats keep them.
+  /// Later queries may not reach past the dropped samples (see SampleRing).
+  void trim(sim::SimTime now, double horizon) { samples_.trim(now, horizon); }
 
  private:
   SampleRing samples_;

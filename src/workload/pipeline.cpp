@@ -119,6 +119,14 @@ double InferenceStream::batch_duration() {
   return base * rng_.uniform(1.0 - j, 1.0 + j);
 }
 
+void InferenceStream::trim_monitors(sim::SimTime now, double horizon) {
+  images_.trim(now, horizon);
+  batch_latency_.trim(now, horizon);
+  queue_delay_.trim(now, horizon);
+  preprocess_latency_.trim(now, horizon);
+  preprocess_compute_.trim(now, horizon);
+}
+
 void InferenceStream::set_batch_size(std::size_t batch) {
   batch_size_ = std::clamp<std::size_t>(batch, 1, queue_.capacity());
   // A consumer parked on the old threshold must not stall behind it; move

@@ -131,6 +131,9 @@ class InferenceStream {
   /// "preprocessing latency" metric Table 1 reports.
   [[nodiscard]] LatencyMonitor& preprocess_compute_latency() { return preprocess_compute_; }
   [[nodiscard]] const LatencyMonitor& preprocess_compute_latency() const { return preprocess_compute_; }
+  /// Trims every monitor above to `horizon` seconds before `now`; queries
+  /// may then reach back at most `horizon` seconds from `now`.
+  void trim_monitors(sim::SimTime now, double horizon);
 
   [[nodiscard]] std::uint64_t images_completed() const { return images_completed_; }
   [[nodiscard]] std::uint64_t batches_completed() const { return batches_completed_; }

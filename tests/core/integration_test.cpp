@@ -2,6 +2,10 @@
 // experiments in miniature (fewer periods than the benches, same shapes).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "common/error.hpp"
 
 #include "baselines/cpu_only.hpp"
@@ -277,6 +281,38 @@ TEST(Integration, GpuDemandSignalSeparatesLoadRegimes) {
   (void)light.run(ctl_b, opt);
 
   EXPECT_GT(saturated.gpu_demand(), 2.0 * light.gpu_demand());
+}
+
+TEST(Integration, FleetStyleRigMonitorsHoldOnlyTheThroughputWindow) {
+  // The fleet's rig: one ResNet-50 at 0.7 open-loop load, 4-s periods and
+  // the default 8-s throughput window, for 150 periods (600 s).
+  RigConfig cfg;
+  cfg.models = {workload::resnet50_v100()};
+  cfg.offered_load = {{0.0, 0.7}};
+  ServerRig rig(cfg);
+  CapGpuController ctl(CapGpuConfig{}, rig.device_ranges(),
+                       rig.analytic_power_model(), 560_W,
+                       rig.latency_models());
+  RunOptions opt;
+  opt.periods = 150;
+  opt.set_point = 560_W;
+  const RunResult res = rig.run(ctl, opt);
+  // Read at the last control tick, where end_period() last trimmed: every
+  // latency monitor holds nothing older than the 8-s window.
+  const double now = res.gpu_latency[0].times().back();
+  const double forever = std::numeric_limits<double>::infinity();
+  auto& s = rig.stream(0);
+  const std::vector<std::pair<const char*, const workload::LatencyMonitor*>>
+      monitors{{"batch_latency", &s.batch_latency()},
+               {"queue_delay", &s.queue_delay()},
+               {"preprocess_latency", &s.preprocess_latency()},
+               {"preprocess_compute_latency", &s.preprocess_compute_latency()},
+               {"subset_latency", &rig.cpu_task().subset_latency()}};
+  for (const auto& [name, monitor] : monitors) {
+    const std::size_t in_window = monitor->count(now, 8.0);
+    EXPECT_GT(in_window, 0u) << name;
+    EXPECT_EQ(monitor->count(now, forever), in_window) << name;
+  }
 }
 
 TEST(Integration, LatencyPercentilesPopulatedAndOrdered) {
