@@ -5,9 +5,10 @@
 // The old engine is embedded below (LegacyEngine) so the comparison stays
 // honest after the rewrite: both kernels compile with the same flags into
 // the same binary and run the same workloads. Results print as a table and
-// are appended to a JSON report (default BENCH_perf.json, override with
-// --out <path>) which scripts/run_perf.sh merges with the parallel-sweep
-// timings; docs/performance.md describes the format.
+// are written to a JSON report (default BENCH_engine.json, override with
+// --out <path>) which scripts/run_perf.sh merges into BENCH_perf.json;
+// docs/performance.md describes the format. The request-timeline overhead
+// guards below print PASS/FAIL, and the bench exits 1 when one fails.
 #include <chrono>
 #include <cstdlib>
 #include <cstdio>
@@ -274,9 +275,26 @@ Row measure_pair(const std::string& name, Workload&& workload, int reps) {
 // The per-request latency attribution (RequestTimeline stamps + per-stage
 // sketches) runs inside the pipeline's hot callbacks. With tracing
 // disabled — the default for every simulation that does not ask for
-// --trace-out/--events-out — it must stay within 5% of the pre-attribution
-// fast path (StreamParams::stage_stats = false).
-Measurement run_pipeline_once(bool stage_stats) {
+// --trace-out/--events-out — it must stay within budget of the
+// pre-attribution fast path (StreamParams::stage_stats = false). Two
+// streams are guarded:
+//   - jitter-free: every batch repeats the last one, so the batch
+//     fingerprint always matches and attribution is a counted replay —
+//     the best case, held to 5%;
+//   - jittered: the model zoo's default ±3% latency jitter, as every rig
+//     stream runs, so no batch matches and every batch pays the full
+//     sketch path — held to 15%.
+struct GuardedStream {
+  const char* name;
+  double jitter_frac;
+  double budget_frac;
+};
+constexpr GuardedStream kGuardedStreams[] = {
+    {"jitter-free", 0.0, 0.05},
+    {"jittered", 0.03, 0.15},
+};
+
+Measurement run_pipeline_once(bool stage_stats, double jitter_frac) {
   sim::Engine engine;
   hw::ServerModel server = hw::ServerModel::v100_testbed(1);
   server.cpu().set_frequency(2.4_GHz);
@@ -289,7 +307,7 @@ Measurement run_pipeline_once(bool stage_stats) {
   p.model.gpu_f_max = 1350_MHz;
   p.model.preprocess_s_ghz = 0.005;
   p.model.gpu_busy_util = 0.9;
-  p.model.jitter_frac = 0.0;
+  p.model.jitter_frac = jitter_frac;
   p.n_preprocess_workers = 2;
   p.stage_stats = stage_stats;
   workload::InferenceStream stream(engine, server, 0, p, Rng(1));
@@ -313,20 +331,21 @@ struct OverheadResult {
   }
 };
 
-OverheadResult measure_timeline_overhead(int reps) {
+OverheadResult measure_timeline_overhead(const GuardedStream& stream,
+                                         int reps) {
   // Same protocol as measure_pair above: off/on reps alternate so both
   // configurations sample the same machine conditions, and best-of keeps
   // the least-perturbed rep of each — external noise only ever slows a
   // run down, so the maxima converge on the undisturbed speeds.
   OverheadResult best;
   for (int i = 0; i < reps; ++i) {
-    const Measurement off = run_pipeline_once(false);
+    const Measurement off = run_pipeline_once(false, stream.jitter_frac);
     if (off.events_per_s > best.baseline.events_per_s) best.baseline = off;
-    const Measurement on = run_pipeline_once(true);
+    const Measurement on = run_pipeline_once(true, stream.jitter_frac);
     if (on.events_per_s > best.timeline.events_per_s) best.timeline = on;
     if (std::getenv("CAPGPU_SELFPERF_DEBUG")) {
-      std::fprintf(stderr, "  rep %d: off %.2fM on %.2fM\n", i,
-                   off.events_per_s / 1e6, on.events_per_s / 1e6);
+      std::fprintf(stderr, "  %s rep %d: off %.2fM on %.2fM\n", stream.name,
+                   i, off.events_per_s / 1e6, on.events_per_s / 1e6);
     }
   }
   return best;
@@ -336,7 +355,7 @@ OverheadResult measure_timeline_overhead(int reps) {
 
 int main(int argc, char** argv) {
   bench::init(argc, argv);
-  std::string out_path = "BENCH_perf.json";
+  std::string out_path = "BENCH_engine.json";
   try {
     const auto flags = extract_flags(argc, argv, {"out"});
     if (auto it = flags.find("out"); it != flags.end()) out_path = it->second;
@@ -376,15 +395,24 @@ int main(int argc, char** argv) {
   // speeds, so the best-of maxima need more samples to converge under
   // machine noise than a 2x-apart engine comparison does.
   constexpr int kOverheadReps = 15;
-  const OverheadResult overhead = measure_timeline_overhead(kOverheadReps);
   std::printf(
       "\n  request-timeline overhead (tracing disabled, best of %d "
-      "alternating reps):\n"
-      "    attribution off %.2fM ev/s, on %.2fM ev/s -> %.2f%% overhead "
-      "(target < 5%%): %s\n",
-      kOverheadReps, overhead.baseline.events_per_s / 1e6,
-      overhead.timeline.events_per_s / 1e6, overhead.overhead_frac() * 100.0,
-      overhead.overhead_frac() < 0.05 ? "PASS" : "FAIL");
+      "alternating reps):\n",
+      kOverheadReps);
+  std::vector<OverheadResult> overheads;
+  bool guards_pass = true;
+  for (const GuardedStream& g : kGuardedStreams) {
+    const OverheadResult& o =
+        overheads.emplace_back(measure_timeline_overhead(g, kOverheadReps));
+    const bool pass = o.overhead_frac() < g.budget_frac;
+    guards_pass = guards_pass && pass;
+    std::printf(
+        "    %-11s (jitter %.2f): attribution off %.2fM ev/s, on %.2fM ev/s "
+        "-> %.2f%% overhead (target < %.0f%%): %s\n",
+        g.name, g.jitter_frac, o.baseline.events_per_s / 1e6,
+        o.timeline.events_per_s / 1e6, o.overhead_frac() * 100.0,
+        g.budget_frac * 100.0, pass ? "PASS" : "FAIL");
+  }
 
   std::ofstream out(out_path);
   if (!out) {
@@ -406,17 +434,27 @@ int main(int argc, char** argv) {
                   r.speedup(), i + 1 < rows.size() ? "," : "");
     out << buf;
   }
-  char tail[512];
-  std::snprintf(tail, sizeof(tail),
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
                 "    ],\n    \"worst_speedup\": %.3f\n  },\n"
-                "  \"timeline_overhead\": {\n"
-                "    \"baseline_events_per_s\": %.0f,\n"
-                "    \"stage_stats_events_per_s\": %.0f,\n"
-                "    \"overhead_frac\": %.4f,\n"
-                "    \"budget_frac\": 0.05\n  }\n}\n",
-                worst_speedup, overhead.baseline.events_per_s,
-                overhead.timeline.events_per_s, overhead.overhead_frac());
-  out << tail;
+                "  \"timeline_overhead\": {\n    \"reps\": %d,\n"
+                "    \"streams\": [\n",
+                worst_speedup, kOverheadReps);
+  out << buf;
+  for (std::size_t i = 0; i < overheads.size(); ++i) {
+    const GuardedStream& g = kGuardedStreams[i];
+    const OverheadResult& o = overheads[i];
+    std::snprintf(buf, sizeof(buf),
+                  "      {\"name\": \"%s\", \"jitter_frac\": %.2f, "
+                  "\"baseline_events_per_s\": %.0f, "
+                  "\"stage_stats_events_per_s\": %.0f, "
+                  "\"overhead_frac\": %.4f, \"budget_frac\": %.2f}%s\n",
+                  g.name, g.jitter_frac, o.baseline.events_per_s,
+                  o.timeline.events_per_s, o.overhead_frac(), g.budget_frac,
+                  i + 1 < overheads.size() ? "," : "");
+    out << buf;
+  }
+  out << "    ]\n  }\n}\n";
   std::printf("  [perf] %s\n", out_path.c_str());
-  return 0;
+  return guards_pass ? 0 : 1;
 }

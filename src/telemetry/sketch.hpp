@@ -34,23 +34,16 @@ struct QuantileSketchSpec {
   double min_trackable{1e-6};
 };
 
-/// One bucket delta of a recorded span (consecutive equal keys merged).
-struct SpanUpdate {
-  int key;
-  std::uint32_t count;
-};
-
 /// Replayable summary of one observed span: the quantized values (the
-/// span's fingerprint) plus the count/sum/bucket deltas the span produced.
+/// span's fingerprint) plus the count/sum/extreme deltas the span produced.
 /// Produced by QuantileSketch::observe_span_record; a caller that sees the
-/// same quantized values again can re-apply the deltas in O(distinct
-/// buckets) via apply_record instead of re-observing every element — the
-/// workload pipeline uses this to keep steady-state attribution off the
-/// hot path. Keys are absolute, so sketch bucket growth between record and
+/// same quantized values again can re-apply the span via apply_record
+/// instead of re-observing every element — the workload pipeline uses this
+/// for streams whose batches repeat. Bucket keys are recomputed from the
+/// quantized values on replay, so sketch bucket growth between record and
 /// replay is harmless.
 struct SpanRecord {
   std::vector<std::uint64_t> quant;
-  std::vector<SpanUpdate> updates;
   std::uint64_t n{0};
   std::uint64_t zeros{0};
   /// Sum of the quantized clamped values (what observe_span returns).
@@ -62,6 +55,14 @@ struct SpanRecord {
 
 /// The sketch. Tracks non-negative values (negatives clamp into the zero
 /// bucket). Thread-compatible like the rest of the telemetry layer.
+///
+/// Every bucket lookup keys the value's quantized bits (the top 14 mantissa
+/// bits): durations come from subtracting large absolute sim times, so "the
+/// same" duration jiggles at the ULP level, and the 2^-14 quantization
+/// error is far inside any sensible alpha. Inside a fixed range of binades
+/// the key comes from a table shared by every sketch of one spec (see
+/// KeyLookup), so the per-value cost is a shift, a load and a compare; only
+/// values outside that range pay the libm log.
 class QuantileSketch {
  public:
   explicit QuantileSketch(QuantileSketchSpec spec = {});
@@ -70,12 +71,6 @@ class QuantileSketch {
   /// Bulk observation: `n` samples of the same value, one bucket update.
   /// The pipeline uses this for per-batch stages where every image in the
   /// batch shares one latency (GPU execution).
-  ///
-  /// Inline fast path: deterministic simulations observe short cycles of
-  /// repeated durations, so a small direct-mapped (value -> bucket key)
-  /// memo skips the log() in bucket_key on almost every call — the
-  /// selfperf timeline-overhead guard holds this path under 5% of the
-  /// pipeline's event rate.
   void observe_many(double x, std::uint64_t n) noexcept {
     if (n == 0 || std::isnan(x)) return;
     if (!(x > 0.0)) x = 0.0;
@@ -87,20 +82,7 @@ class QuantileSketch {
       zero_count_ += n;
       return;
     }
-    // Quantize to 14 mantissa bits (2^-14 ~ 6e-5 relative, well inside any
-    // sensible alpha) before the lookup: durations come from subtracting
-    // large absolute sim times, so "the same" duration jiggles at the ULP
-    // level and would never match an exact-value memo.
-    const std::uint64_t q = std::bit_cast<std::uint64_t>(x) & kQuantMask;
-    const std::size_t slot =
-        static_cast<std::size_t>(q >> kQuantBits) & (kMemoSlots - 1);
-    if (memo_bits_[slot] == q) {
-      // A memoized key was inserted before; growth only ever extends the
-      // dense bucket range, so key - offset_ stays in bounds.
-      buckets_[static_cast<std::size_t>(memo_key_[slot] - offset_)] += n;
-      return;
-    }
-    insert_slow(q, n, slot);
+    add(keys_(quantized_bits(x)), n);
   }
 
   /// Bulk observation of `n` contiguous values. Values must be finite;
@@ -113,9 +95,10 @@ class QuantileSketch {
   }
 
   /// observe_span that additionally fills `rec` with the span's fingerprint
-  /// and deltas. A caller whose next span's quantized values (compare via
-  /// quantized_bits) equal rec.quant can skip re-observation and call
-  /// apply_record(rec, 1) instead.
+  /// and deltas, in the same single pass over the values. A caller whose
+  /// next span's quantized values (compare via quantized_bits) equal
+  /// rec.quant can skip re-observation and call apply_record(rec, 1)
+  /// instead.
   double observe_span_record(const double* v, std::size_t n,
                              SpanRecord& rec) noexcept;
 
@@ -129,6 +112,14 @@ class QuantileSketch {
   [[nodiscard]] static std::uint64_t quantized_bits(double x) noexcept {
     const double c = x > 0.0 ? x : 0.0;
     return std::bit_cast<std::uint64_t>(c) & kQuantMask;
+  }
+
+  /// Bucket key of a value at or above min_trackable: bucket i covers
+  /// (gamma^(i-1), gamma^i], evaluated at the value's quantized bits q.
+  /// Equal to ceil(log(q) / log(gamma) - 1e-9) whether the key table or
+  /// libm answers.
+  [[nodiscard]] int bucket_key(double x) const noexcept {
+    return keys_(quantized_bits(x));
   }
 
   /// Estimate of the q-quantile (q in [0, 1]), within the configured
@@ -148,27 +139,81 @@ class QuantileSketch {
   void merge_from(const QuantileSketch& other);
 
  private:
-  static constexpr std::size_t kMemoSlots = 16;
-  /// Mantissa bits dropped by the memo quantization (keeps the top 14).
+  /// Mantissa bits dropped by the quantization (keeps the top 14).
   static constexpr unsigned kQuantBits = 38;
   static constexpr std::uint64_t kQuantMask =
       ~((std::uint64_t{1} << kQuantBits) - 1);
+  /// log2 of the quantized values per key-table cell (at most 6: a cell
+  /// entry keeps 128 - edge offset below its key bits).
+  static constexpr unsigned kCellBits = 6;
 
-  [[nodiscard]] int bucket_key(double x) const noexcept;
+  /// The bucket-key function: a read-only view of the spec's shared key
+  /// table, with the libm key for values outside it. A span loop copies it
+  /// into locals, so no store to the sketch forces a reload.
+  ///
+  /// The table covers every quantized value of the binades from
+  /// min_trackable's up to 2^12 s. Those values are cut into cells of
+  /// 2^kCellBits consecutive quantized values, and each cell holds at most
+  /// one bucket edge, so one int per cell answers every value in it:
+  /// 128 * (key of the cell's first value) + 128 - (offset of the first
+  /// value past the edge, 64 when there is none). Adding a value's offset
+  /// in the cell carries into the key bits exactly when the value lies past
+  /// the edge, so its key is (cell + offset) >> 7. A spec whose buckets are
+  /// narrower than a cell has no table (size 0), and every value takes the
+  /// libm key.
+  struct KeyLookup {
+    const std::int32_t* cells{nullptr};
+    /// (quantized bits >> kQuantBits) of the first value covered.
+    std::uint64_t first{0};
+    /// Quantized values covered.
+    std::uint64_t size{0};
+    double inv_log_gamma{0.0};
+
+    [[nodiscard]] int operator()(std::uint64_t q) const noexcept {
+      const std::uint64_t i = (q >> kQuantBits) - first;
+      if (i < size) {
+        const auto offset =
+            static_cast<std::int32_t>(i & ((1u << kCellBits) - 1));
+        return (cells[i >> kCellBits] + offset) >> 7;
+      }
+      return log_key(std::bit_cast<double>(q), inv_log_gamma);
+    }
+  };
+  /// The cells behind a KeyLookup (defined in sketch.cpp).
+  struct KeyTable;
+  /// The key function for `spec`. Its table is built on first use and
+  /// shared read-only by every sketch (and thread) of that spec for the
+  /// life of the process.
+  static KeyLookup shared_key_lookup(const QuantileSketchSpec& spec,
+                                     double inv_log_gamma);
+  /// Calls log_key on each cell's first and last value and bisects the
+  /// edge between them, so every table key equals the libm key. Returns an
+  /// empty table when some cell holds two edges.
+  static KeyTable build_key_table(const QuantileSketchSpec& spec,
+                                  double inv_log_gamma);
+  /// The libm key: ceil of the log-gamma index. Builds the table and
+  /// answers every value outside it.
+  [[nodiscard]] static int log_key(double x, double inv_log_gamma) noexcept;
   [[nodiscard]] double bucket_value(int key) const noexcept;
+  /// Adds `n` to bucket `key`, growing the dense range if it lies outside.
+  void add(int key, std::uint64_t n) noexcept {
+    const auto i = static_cast<std::size_t>(key - offset_);
+    if (i < buckets_.size()) {
+      buckets_[i] += n;
+      return;
+    }
+    grow_to(key);
+    buckets_[static_cast<std::size_t>(key - offset_)] += n;
+  }
   void grow_to(int key) noexcept;
-  /// Memo miss: computes the key for the quantized value, inserts, and
-  /// refreshes `slot`.
-  void insert_slow(std::uint64_t qbits, std::uint64_t n,
-                   std::size_t slot) noexcept;
+  /// Folds a span's extremes into min_/max_; a span with zeros pulls them
+  /// to 0.
+  void merge_extremes(double qmin, double qmax, std::uint64_t zeros) noexcept;
 
   QuantileSketchSpec spec_;
   double gamma_{0.0};
   double inv_log_gamma_{0.0};
-  /// Memoized (quantized value bits, bucket key) pairs; the sentinel has
-  /// low bits set, which a masked value never does.
-  std::uint64_t memo_bits_[kMemoSlots];
-  int memo_key_[kMemoSlots]{};
+  KeyLookup keys_;
   /// Dense bucket counts; buckets_[i] holds key = offset_ + i.
   std::vector<std::uint64_t> buckets_;
   int offset_{0};

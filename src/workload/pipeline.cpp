@@ -325,46 +325,45 @@ void InferenceStream::record_stage_stats(double exec_latency,
   const sim::SimTime* pre_start = pool_.preprocess_start.data();
   const sim::SimTime* pre_done = pool_.preprocess_done.data();
   const sim::SimTime* bstart = pool_.batch_start.data();
-  // This is the pipeline's hot loop — the selfperf timeline-overhead guard
-  // holds the whole block under 5% of the event rate. A steady-state
-  // deterministic pipeline produces the same per-batch stage durations
-  // every batch (to within ULP jiggle, which the sketch quantization
-  // absorbs), so the common case is one fused traversal comparing the
-  // batch's quantized durations against the last distinct batch's span
-  // records: on a match the batch is deferred as a pending replay and no
-  // sketch is touched at all.
-  bool recorded = false;
-  if (rec_valid_ && rec_cpu_.n == n) {
+  // Fingerprint: a deterministic pipeline in steady state produces the
+  // same per-batch stage durations every batch (to within ULP jiggle, which
+  // the sketch quantization absorbs), so a batch whose quantized durations
+  // match the last distinct batch's span records is deferred as a pending
+  // replay and touches no sketch. Jittered streams (every zoo model) never
+  // repeat; the compare tries the exec latency first and stops at the first
+  // value that differs, so a miss costs about one compare.
+  const auto repeats_last_batch = [&] {
+    if (!rec_valid_ || rec_cpu_.n != n ||
+        QuantileSketch::quantized_bits(exec_latency) != rec_exec_.quant[0]) {
+      return false;
+    }
     const std::uint64_t* qc = rec_cpu_.quant.data();
     const std::uint64_t* qb = rec_bq_.quant.data();
     const std::uint64_t* qt = rec_total_.quant.data();
     const std::uint64_t* qp = open ? rec_pq_.quant.data() : nullptr;
-    std::uint64_t diff =
-        QuantileSketch::quantized_bits(exec_latency) ^ rec_exec_.quant[0];
     for (std::size_t i = 0; i < count; ++i) {
       const RequestId id = ids[i];
-      diff |= QuantileSketch::quantized_bits(pre_done[id] - pre_start[id]) ^
-              qc[i];
-      diff |= QuantileSketch::quantized_bits(bstart[id] - pre_done[id]) ^
-              qb[i];
-      diff |= QuantileSketch::quantized_bits(completed - arrival[id]) ^ qt[i];
-      if (open) {
-        diff |= QuantileSketch::quantized_bits(pre_start[id] - arrival[id]) ^
-                qp[i];
+      if (QuantileSketch::quantized_bits(pre_done[id] - pre_start[id]) !=
+              qc[i] ||
+          QuantileSketch::quantized_bits(bstart[id] - pre_done[id]) != qb[i] ||
+          QuantileSketch::quantized_bits(completed - arrival[id]) != qt[i] ||
+          (open && QuantileSketch::quantized_bits(pre_start[id] -
+                                                  arrival[id]) != qp[i])) {
+        return false;
       }
     }
-    if (diff == 0) {
-      ++pending_batches_;
-      stage_sum_[kCpu] += rec_cpu_.quant_sum;
-      stage_sum_[kBq] += rec_bq_.quant_sum;
-      stage_sum_[kExec] += rec_exec_.quant_sum * static_cast<double>(n);
-      if (open) stage_sum_[kPq] += rec_pq_.quant_sum;
-      recorded = true;
-    }
-  }
-  if (!recorded) {
+    return true;
+  };
+  if (repeats_last_batch()) {
+    ++pending_batches_;
+    stage_sum_[kCpu] += rec_cpu_.quant_sum;
+    stage_sum_[kBq] += rec_bq_.quant_sum;
+    stage_sum_[kExec] += rec_exec_.quant_sum * static_cast<double>(n);
+    if (open) stage_sum_[kPq] += rec_pq_.quant_sum;
+  } else {
     // Fingerprint miss: flush the deferred batches against the old
-    // records, then observe this batch directly while rebuilding them.
+    // records, then observe this batch, one sketch pass per lane, while
+    // rebuilding them.
     flush_stage_stats();
     stage_scratch_.resize((open ? 4 : 3) * count);
     double* cpu_lane = stage_scratch_.data();

@@ -139,14 +139,23 @@ TEST(AdaptiveCapGpu, TracksAMidRunGainShift) {
     f = ctl.control(inputs(true_plant().predict(f).value), f)
             .target_freqs_mhz;
   }
-  // The plant's GPU gains shift by +50% (workload intensity change); a
-  // dithered set point maintains the excitation needed to re-identify.
-  const auto shifted = true_plant().scaled_gains({1.0, 1.5, 1.5});
+  // The two GPUs' gains shift apart (workload intensity changes): +50% on
+  // GPU 1, -20% on GPU 2, so an estimate that cannot tell the GPUs apart
+  // (near their mean, 0.23) fails both bounds below. A dithered set point
+  // keeps excitation alive, and a differential clock dither (GPU 1 up while
+  // GPU 2 goes down, as per-device actuation noise would) moves the GPUs
+  // independently, so identification does not hinge on the controller's
+  // two commands happening to point in different directions.
+  const auto shifted = true_plant().scaled_gains({1.0, 1.5, 0.8});
   for (int k = 0; k < 160; ++k) {
     ctl.set_set_point(Watts{(k / 5) % 2 ? 930.0 : 870.0});
+    const double dither = (k / 3) % 2 ? 10.0 : -10.0;
+    f[1] += dither;
+    f[2] -= dither;
     f = ctl.control(inputs(shifted.predict(f).value), f).target_freqs_mhz;
   }
   EXPECT_NEAR(ctl.current_model().gain(1), 0.3, 0.05);
+  EXPECT_NEAR(ctl.current_model().gain(2), 0.16, 0.05);
   ctl.set_set_point(900_W);
   for (int k = 0; k < 20; ++k) {
     f = ctl.control(inputs(shifted.predict(f).value), f).target_freqs_mhz;
