@@ -54,15 +54,22 @@ void CpuTaskSim::start() {
 void CpuTaskSim::run_round() {
   const double f_ghz = cpu_->frequency().value / 1000.0;
   const double j = params_.jitter_frac;
-  const double subset_time =
-      params_.subset_s_ghz / f_ghz * rng_.uniform(1.0 - j, 1.0 + j);
-  engine_->schedule_after(subset_time, [this, subset_time] {
-    // One round: every core finished one subset evaluation.
-    subsets_ += params_.cores;
-    throughput_.record(engine_->now(), static_cast<double>(params_.cores));
-    subset_latency_.record(engine_->now(), subset_time);
-    run_round();
-  });
+  round_time_ = params_.subset_s_ghz / f_ghz * rng_.uniform(1.0 - j, 1.0 + j);
+  // Every round after the first starts inside the previous round's event,
+  // so the fired event re-arms in place like the pipeline's worker chains;
+  // the first round, from start(), takes a fresh event.
+  if (!engine_->try_reschedule_firing(round_event_, round_time_)) {
+    round_event_ =
+        engine_->schedule_after(round_time_, [this] { finish_round(); });
+  }
+}
+
+void CpuTaskSim::finish_round() {
+  // One round: every core finished one subset evaluation.
+  subsets_ += params_.cores;
+  throughput_.record(engine_->now(), static_cast<double>(params_.cores));
+  subset_latency_.record(engine_->now(), round_time_);
+  run_round();
 }
 
 }  // namespace capgpu::workload

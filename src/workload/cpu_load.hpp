@@ -55,6 +55,9 @@ struct CpuTaskParams {
 
 /// DES model of the exhaustive feature-selection job: `cores` cores each
 /// evaluate one feature subset per round; a round takes one subset time.
+/// Rounds form one event chain: each round's completion event draws the
+/// next round's subset time and re-arms itself
+/// (sim::Engine::try_reschedule_firing).
 class CpuTaskSim {
  public:
   CpuTaskSim(sim::Engine& engine, hw::CpuModel& cpu, CpuTaskParams params,
@@ -81,7 +84,9 @@ class CpuTaskSim {
   [[nodiscard]] const CpuTaskParams& params() const { return params_; }
 
  private:
+  /// Draws the next round's subset time and arms its completion event.
   void run_round();
+  void finish_round();
 
   sim::Engine* engine_;
   hw::CpuModel* cpu_;
@@ -90,6 +95,8 @@ class CpuTaskSim {
   ThroughputMonitor throughput_;
   LatencyMonitor subset_latency_;
   std::uint64_t subsets_{0};
+  sim::EventId round_event_{0};  ///< completion event of the current round
+  double round_time_{0.0};       ///< subset time of the current round
   bool started_{false};
 };
 

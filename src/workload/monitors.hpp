@@ -12,7 +12,6 @@
 
 #include "common/error.hpp"
 #include "sim/engine.hpp"
-#include "telemetry/stats.hpp"
 
 namespace capgpu::workload {
 
@@ -109,12 +108,12 @@ class ThroughputMonitor {
   SampleRing events_;
 };
 
-/// Collects latency samples within a rolling window plus lifetime stats.
+/// Collects latency samples within a rolling window. Every statistic is
+/// windowed; a sample dropped by trim() is gone for good.
 class LatencyMonitor {
  public:
   void record(sim::SimTime now, double latency_s) {
     samples_.push_back(now, latency_s);
-    lifetime_.add(latency_s);
   }
 
   /// Mean latency of samples in (now - window, now]; 0 when none.
@@ -127,20 +126,17 @@ class LatencyMonitor {
   [[nodiscard]] std::size_t misses(sim::SimTime now, double window,
                                    double threshold) const;
 
-  [[nodiscard]] const telemetry::RunningStats& lifetime() const { return lifetime_; }
-
   /// Invokes `fn(latency)` for every sample in (now - window, now], oldest
   /// first (percentile extraction, custom aggregation).
   void visit(sim::SimTime now, double window,
              const std::function<void(double)>& fn) const;
 
-  /// Drops samples at or before `now - horizon`; lifetime stats keep them.
-  /// Later queries may not reach past the dropped samples (see SampleRing).
+  /// Drops samples at or before `now - horizon`. Later queries may not
+  /// reach past the dropped samples (see SampleRing).
   void trim(sim::SimTime now, double horizon) { samples_.trim(now, horizon); }
 
  private:
   SampleRing samples_;
-  telemetry::RunningStats lifetime_;
 };
 
 }  // namespace capgpu::workload

@@ -154,6 +154,7 @@ void InferenceStream::worker_start_image(std::size_t w) {
   if (params_.open_loop) {
     if (pending_arrivals_.empty() || pending_arrivals_.front() > now) {
       // Nothing has arrived yet; submit/wakeup re-starts us.
+      set_worker_computing(w, false);
       idle_workers_.push_back(w);
       maybe_arm_arrival_wakeup();
       return;
@@ -220,7 +221,9 @@ void InferenceStream::maybe_arm_arrival_wakeup() {
 }
 
 void InferenceStream::worker_finish_image(std::size_t w) {
-  set_worker_computing(w, false);  // compute done; may still block on queue
+  // Compute is done, but the worker only reports that it stopped when it
+  // blocks on a full queue or idles: one that starts its next image inside
+  // this event was never seen idle by any other event.
   pool_.preprocess_done[workers_[w].req] = engine_->now();
   preprocess_compute_.record(engine_->now(), workers_[w].compute);
   worker_try_push(w);
@@ -242,6 +245,7 @@ void InferenceStream::worker_try_push(std::size_t w) {
                                engine_->now() - pool_.preprocess_start[id]);
     worker_start_image(w);
   } else {
+    set_worker_computing(w, false);
     blocked_workers_.push_back(w);  // consumer_try_start wakes us LIFO
   }
 }

@@ -104,8 +104,11 @@ class InferenceStream {
   /// normalization denominator for this stream's throughput.
   [[nodiscard]] double max_images_per_s() const;
 
-  /// Called with +1/-1 when a preprocessing worker starts/stops computing
-  /// (used by HostCpuLoad to aggregate package utilization).
+  /// Called with -1 when a preprocessing worker stops computing (it blocks
+  /// on a full queue, or idles with no arrival due) and with +1 when it
+  /// starts again; used by HostCpuLoad to aggregate package utilization.
+  /// A worker that finishes an image and starts the next one inside the
+  /// same event reports nothing: no other event could see it stopped.
   std::function<void(int)> on_worker_compute_change;
 
   /// Frequency governing preprocessing speed. Defaults to the host CPU's

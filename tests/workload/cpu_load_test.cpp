@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace capgpu::workload {
@@ -116,6 +120,59 @@ TEST(CpuTaskSim, DoubleStartThrows) {
   auto task = h.make(4, 0.1);
   task->start();
   EXPECT_THROW(task->start(), capgpu::InvalidArgument);
+}
+
+/// Exact bit pattern, so a last-bit change would fail.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(CpuTask, RoundsFollowTheirRngStream) {
+  // A round draws its subset time when it starts (from the frequency at
+  // that moment) and records it when it finishes. The round chain re-arms
+  // one event, so each firing must stamp the round that just finished, not
+  // the one it draws next.
+  sim::Engine engine;
+  hw::CpuModel cpu{hw::CpuParams{}};
+  cpu.set_frequency(1.6_GHz);
+  CpuTaskParams p;
+  p.cores = 4;
+  p.subset_s_ghz = 0.08;
+  p.jitter_frac = 0.05;
+  CpuTaskSim task(engine, cpu, p, Rng(7));
+  Rng ref(7);
+  const double j = p.jitter_frac;
+  const auto draw = [&] {
+    const double f_ghz = cpu.frequency().value / 1000.0;
+    return p.subset_s_ghz / f_ghz * ref.uniform(1.0 - j, 1.0 + j);
+  };
+  constexpr int kRounds = 200;
+  std::vector<double> expected;
+  double next = draw();  // the first round is drawn by start()
+  task.start();
+  sim::SimTime t = 0.0;
+  for (int round = 0; round < kRounds; ++round) {
+    const double subset_time = next;
+    expected.push_back(subset_time);
+    t += subset_time;
+    ASSERT_TRUE(engine.step());
+    ASSERT_EQ(bits(engine.now()), bits(t)) << "round " << round;
+    next = draw();  // drawn inside the finished round's event
+    // The newest sample is the only one within half a round of now.
+    std::vector<double> newest;
+    task.subset_latency().visit(engine.now(), subset_time / 2,
+                                [&](double v) { newest.push_back(v); });
+    ASSERT_EQ(newest.size(), 1u) << "round " << round;
+    EXPECT_EQ(bits(newest[0]), bits(subset_time)) << "round " << round;
+    // A mid-run frequency change reaches the round after the one in flight.
+    if (round == kRounds / 2) cpu.set_frequency(2.4_GHz);
+  }
+  std::vector<double> all;
+  task.subset_latency().visit(engine.now(), engine.now(),
+                              [&](double v) { all.push_back(v); });
+  ASSERT_EQ(all.size(), expected.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(bits(all[i]), bits(expected[i])) << "round " << i;
+  }
+  EXPECT_EQ(task.subsets_evaluated(), std::uint64_t{kRounds} * p.cores);
 }
 
 }  // namespace

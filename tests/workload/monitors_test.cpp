@@ -99,16 +99,6 @@ TEST(LatencyMonitor, MissRateAgainstThreshold) {
   EXPECT_EQ(m.misses(4.0, 2.0, 1.0), 1u);
 }
 
-TEST(LatencyMonitor, LifetimeStatsSurviveTrim) {
-  LatencyMonitor m;
-  m.record(1.0, 0.5);
-  m.record(2.0, 1.5);
-  m.trim(1000.0, 10.0);
-  EXPECT_EQ(m.count(1000.0, 10.0), 0u);
-  EXPECT_EQ(m.lifetime().count(), 2u);
-  EXPECT_DOUBLE_EQ(m.lifetime().mean(), 1.0);
-}
-
 TEST(LatencyMonitor, WindowPastTheRetainedHorizonThrows) {
   LatencyMonitor lat;
   ThroughputMonitor thr(10.0);
@@ -143,7 +133,6 @@ TEST(LatencyMonitor, WindowPastTheRetainedHorizonThrows) {
   EXPECT_EQ(lat.count(20.0, forever), 8u);
   EXPECT_EQ(lat.misses(20.0, forever, 0.1), 8u);
   EXPECT_DOUBLE_EQ(lat.mean(20.0, forever), 0.5);
-  EXPECT_EQ(lat.lifetime().count(), 20u);
 }
 
 /// Exact bit pattern, so -0.0 / 0.0 or a last-bit change would fail.

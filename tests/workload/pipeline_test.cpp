@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "common/error.hpp"
 #include "workload/latency_law.hpp"
@@ -151,6 +153,83 @@ TEST(Pipeline, WorkerComputeCallbackBalances) {
   EXPECT_GE(delta_sum, 0);
   EXPECT_LE(delta_sum, 3);
   EXPECT_EQ(max_seen, 3);  // all three workers were computing at once
+}
+
+TEST(Pipeline, WorkerComputeCallbackFiresOnlyWhenAWorkerStops) {
+  // A worker that finishes an image and starts the next one inside the same
+  // event reports nothing; it reports -1 only when it blocks on a full
+  // queue or idles with no arrival due, and +1 when it starts again.
+  {
+    // CPU-bound single worker: it never blocks, so the initial start is its
+    // only report.
+    StreamParams p = fast_model(1);
+    p.model.preprocess_s_ghz = 0.05;
+    PipelineHarness h(p);
+    std::vector<int> calls;
+    h.stream->on_worker_compute_change = [&](int d) { calls.push_back(d); };
+    h.server.cpu().set_frequency(1_GHz);
+    h.server.gpu(0).set_core_clock(1350_MHz);
+    h.stream->start();
+    h.run(50.0);
+    EXPECT_GT(h.stream->images_completed(), 900u);
+    EXPECT_EQ(calls, std::vector<int>{+1});
+  }
+  {
+    // GPU-bound: a worker blocks on the full queue at most once per batch
+    // and is woken when that batch starts.
+    constexpr std::size_t kWorkers = 2;
+    PipelineHarness h(fast_model(kWorkers));
+    std::size_t calls = 0;
+    long sum = 0;
+    long lo = 0;
+    long hi = 0;
+    h.stream->on_worker_compute_change = [&](int d) {
+      ++calls;
+      sum += d;
+      lo = std::min(lo, sum);
+      hi = std::max(hi, sum);
+    };
+    h.server.cpu().set_frequency(2.4_GHz);
+    h.server.gpu(0).set_core_clock(1350_MHz);
+    h.stream->start();
+    h.run(50.0);
+    const std::uint64_t batches = h.stream->batches_completed();
+    EXPECT_GT(batches, 200u);
+    EXPECT_LE(calls, 2 * kWorkers * (batches + 1) + kWorkers);
+    EXPECT_GE(lo, 0);
+    EXPECT_LE(hi, static_cast<long>(kWorkers));
+  }
+  {
+    // Open loop: bursts of one batch each, far enough apart that the queue
+    // never fills. Both workers wake on a burst (+1) and idle once it is
+    // drained (-1); finishing an image mid-burst reports nothing.
+    constexpr int kBursts = 20;
+    StreamParams p = fast_model(2);
+    p.open_loop = true;
+    PipelineHarness h(p);
+    int starts = 0;
+    int stops = 0;
+    h.stream->on_worker_compute_change = [&](int d) {
+      if (d > 0) {
+        ++starts;
+        return;
+      }
+      ++stops;
+      EXPECT_EQ(h.stream->pending_requests(), 0u) << "stopped at t = "
+                                                  << h.engine.now();
+      EXPECT_FALSE(h.stream->queue().full());
+    };
+    h.server.cpu().set_frequency(2.4_GHz);
+    h.server.gpu(0).set_core_clock(1350_MHz);
+    h.stream->start();
+    for (int k = 0; k < kBursts; ++k) {
+      h.engine.schedule_at(0.5 + k, [&] { h.stream->submit_requests(10); });
+    }
+    h.run(kBursts + 1.0);
+    EXPECT_EQ(h.stream->images_completed(), 10u * kBursts);
+    EXPECT_EQ(starts, 2 * kBursts);
+    EXPECT_EQ(stops, 2 * kBursts);
+  }
 }
 
 TEST(Pipeline, DeterministicWithSameSeed) {
