@@ -35,7 +35,8 @@ void HostCpuLoad::push_utilization() { cpu_->set_utilization(utilization()); }
 
 CpuTaskSim::CpuTaskSim(sim::Engine& engine, hw::CpuModel& cpu,
                        CpuTaskParams params, Rng rng)
-    : engine_(&engine),
+    : LazyChain(engine),
+      engine_(&engine),
       cpu_(&cpu),
       params_(params),
       rng_(rng),
@@ -55,16 +56,10 @@ void CpuTaskSim::run_round() {
   const double f_ghz = cpu_->frequency().value / 1000.0;
   const double j = params_.jitter_frac;
   round_time_ = params_.subset_s_ghz / f_ghz * rng_.uniform(1.0 - j, 1.0 + j);
-  // Every round after the first starts inside the previous round's event,
-  // so the fired event re-arms in place like the pipeline's worker chains;
-  // the first round, from start(), takes a fresh event.
-  if (!engine_->try_reschedule_firing(round_event_, round_time_)) {
-    round_event_ =
-        engine_->schedule_after(round_time_, [this] { finish_round(); });
-  }
+  set_next(engine_->now() + round_time_, draw_seq());
 }
 
-void CpuTaskSim::finish_round() {
+void CpuTaskSim::fire() {
   // One round: every core finished one subset evaluation.
   subsets_ += params_.cores;
   throughput_.record(engine_->now(), static_cast<double>(params_.cores));

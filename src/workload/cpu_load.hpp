@@ -55,10 +55,12 @@ struct CpuTaskParams {
 
 /// DES model of the exhaustive feature-selection job: `cores` cores each
 /// evaluate one feature subset per round; a round takes one subset time.
-/// Rounds form one event chain: each round's completion event draws the
-/// next round's subset time and re-arms itself
-/// (sim::Engine::try_reschedule_firing).
-class CpuTaskSim {
+/// Rounds form one lazy event chain (sim::Engine::LazyChain): each round's
+/// completion records it and draws the next round's subset time from the
+/// CPU frequency at that moment. Nothing but the task's own monitors sees a
+/// round, and every frequency change and monitor read runs as a heap event
+/// or between engine runs, so the rounds stay out of the heap.
+class CpuTaskSim : private sim::Engine::LazyChain {
  public:
   CpuTaskSim(sim::Engine& engine, hw::CpuModel& cpu, CpuTaskParams params,
              Rng rng);
@@ -86,7 +88,8 @@ class CpuTaskSim {
  private:
   /// Draws the next round's subset time and arms its completion event.
   void run_round();
-  void finish_round();
+  /// Completes the current round and starts the next.
+  void fire() override;
 
   sim::Engine* engine_;
   hw::CpuModel* cpu_;
@@ -95,8 +98,7 @@ class CpuTaskSim {
   ThroughputMonitor throughput_;
   LatencyMonitor subset_latency_;
   std::uint64_t subsets_{0};
-  sim::EventId round_event_{0};  ///< completion event of the current round
-  double round_time_{0.0};       ///< subset time of the current round
+  double round_time_{0.0};  ///< subset time of the current round
   bool started_{false};
 };
 

@@ -102,6 +102,9 @@ class ThroughputMonitor {
   /// the dropped events (see SampleRing).
   void trim(sim::SimTime now, double horizon) { events_.trim(now, horizon); }
 
+  /// The retained (time, count) records, oldest first.
+  [[nodiscard]] const SampleRing& samples() const { return events_; }
+
  private:
   double max_rate_;
   double total_{0.0};
@@ -134,6 +137,9 @@ class LatencyMonitor {
   /// Drops samples at or before `now - horizon`. Later queries may not
   /// reach past the dropped samples (see SampleRing).
   void trim(sim::SimTime now, double horizon) { samples_.trim(now, horizon); }
+
+  /// The retained (time, latency) samples, oldest first.
+  [[nodiscard]] const SampleRing& samples() const { return samples_; }
 
  private:
   SampleRing samples_;

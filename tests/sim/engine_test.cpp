@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -309,6 +311,117 @@ TEST(Engine, RescheduleFiringStaleGenerationReturnsFalse) {
   EXPECT_EQ(first >> 32, second >> 32);
   e.run_until(3.0);
   EXPECT_TRUE(attempted);
+}
+
+/// Toy lazy chain holding any number of pending events, each fired in
+/// (time, seq) order and logged as "tag@now".
+class ToyChain final : public Engine::LazyChain {
+ public:
+  ToyChain(Engine& e, std::vector<std::string>& log)
+      : LazyChain(e), engine_(e), log_(log) {}
+
+  void arm_at(SimTime time, std::string tag) {
+    pending_.push_back(Pending{time, draw_seq(), std::move(tag)});
+    std::sort(pending_.begin(), pending_.end(),
+              [](const Pending& a, const Pending& b) {
+                return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+              });
+    set_next(pending_.front().time, pending_.front().seq);
+  }
+
+ private:
+  struct Pending {
+    SimTime time;
+    std::uint64_t seq;
+    std::string tag;
+  };
+
+  void fire() override {
+    const Pending p = pending_.front();
+    pending_.erase(pending_.begin());
+    EXPECT_EQ(engine_.now(), p.time) << p.tag;
+    log_.push_back(p.tag + "@" + std::to_string(engine_.now()));
+    if (pending_.empty()) {
+      disarm();
+    } else {
+      set_next(pending_.front().time, pending_.front().seq);
+    }
+  }
+
+  Engine& engine_;
+  std::vector<std::string>& log_;
+  std::vector<Pending> pending_;
+};
+
+TEST(Engine, LazyChainKeepsFifoOrderAgainstHeapEvents) {
+  // Chain events land at exactly the times of heap events, armed both
+  // before and after those heap events are scheduled, and once from inside
+  // a heap event: the fire order must follow the seqs drawn at each arm or
+  // schedule call, as if every event were a heap event.
+  const auto setup = [](Engine& e, ToyChain& chain,
+                        std::vector<std::string>& log) {
+    chain.arm_at(1.0, "c1a");
+    e.schedule_at(1.0, [&log, &e] {
+      log.push_back("h1@" + std::to_string(e.now()));
+    });
+    chain.arm_at(1.0, "c1b");
+    e.schedule_at(2.0, [&log, &e, &chain] {
+      log.push_back("h2@" + std::to_string(e.now()));
+      chain.arm_at(2.0, "c2c");
+      e.schedule_at(2.0, [&log, &e] {
+        log.push_back("h2b@" + std::to_string(e.now()));
+      });
+    });
+    chain.arm_at(2.0, "c2");
+    chain.arm_at(3.0, "c3");  // exactly at the run_until target below
+    chain.arm_at(4.0, "c4");
+  };
+  const std::vector<std::string> expected{
+      "c1a@1.000000", "h1@1.000000",  "c1b@1.000000", "h2@2.000000",
+      "c2@2.000000",  "c2c@2.000000", "h2b@2.000000", "c3@3.000000"};
+
+  {
+    Engine e;
+    std::vector<std::string> log;
+    ToyChain chain(e, log);
+    setup(e, chain, log);
+    e.run_until(3.0);
+    EXPECT_EQ(log, expected);
+    EXPECT_DOUBLE_EQ(e.now(), 3.0);
+    // Heap events only: h1, h2, h2b.
+    EXPECT_EQ(e.events_executed(), 3u);
+    EXPECT_EQ(e.pending(), 0u);
+  }
+  {
+    Engine e;
+    std::vector<std::string> log;
+    ToyChain chain(e, log);
+    setup(e, chain, log);
+    std::vector<std::string> expected_steps = expected;
+    expected_steps.push_back("c4@4.000000");
+    std::size_t steps = 0;
+    while (e.step()) ++steps;
+    EXPECT_EQ(log, expected_steps);
+    EXPECT_EQ(steps, expected_steps.size());
+    EXPECT_DOUBLE_EQ(e.now(), 4.0);
+    EXPECT_EQ(e.events_executed(), 3u);
+  }
+}
+
+TEST(Engine, LazyChainEventCannotTouchTheHeap) {
+  Engine e;
+  struct Scheduling final : Engine::LazyChain {
+    explicit Scheduling(Engine& eng) : LazyChain(eng), engine(eng) {
+      set_next(1.0, draw_seq());
+    }
+    void fire() override {
+      disarm();
+      engine.schedule_after(1.0, [] {});
+    }
+    Engine& engine;
+  } chain(e);
+  EXPECT_THROW(e.run_until(2.0), capgpu::InvalidArgument);
+  EXPECT_EQ(e.pending(), 0u);
 }
 
 }  // namespace

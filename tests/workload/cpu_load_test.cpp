@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -173,6 +174,66 @@ TEST(CpuTask, RoundsFollowTheirRngStream) {
     EXPECT_EQ(bits(all[i]), bits(expected[i])) << "round " << i;
   }
   EXPECT_EQ(task.subsets_evaluated(), std::uint64_t{kRounds} * p.cores);
+}
+
+TEST(CpuTask, FrequencyChangeFromAHeapEventReachesTheNextRound) {
+  // Fault-delayed actuations land at arbitrary times, not at round
+  // boundaries. The rounds run as a lazy chain, so a heap event that sets
+  // the frequency mid-round must still reach exactly the rounds that start
+  // after it: each draw is replayed bitwise from an identically seeded Rng
+  // with the frequency applied at the round's start.
+  sim::Engine engine;
+  hw::CpuModel cpu{hw::CpuParams{}};
+  cpu.set_frequency(1.6_GHz);
+  CpuTaskParams p;
+  p.cores = 4;
+  p.subset_s_ghz = 0.08;
+  p.jitter_frac = 0.05;
+  CpuTaskSim task(engine, cpu, p, Rng(11));
+  task.start();
+  struct Change {
+    sim::SimTime at;
+    Megahertz f;
+  };
+  std::vector<Change> applied{{0.0, cpu.frequency()}};
+  const std::vector<Change> changes{{0.7310, 2.4_GHz}, {2.0937, 1.2_GHz},
+                                    {5.4171, 2.0_GHz}, {9.8803, 1.0_GHz},
+                                    {14.2069, 2.2_GHz}};
+  for (const Change& c : changes) {
+    engine.schedule_at(c.at, [&, c] {
+      applied.push_back({engine.now(), cpu.set_frequency(c.f)});
+    });
+  }
+  constexpr double kHorizon = 20.0;
+  engine.run_until(kHorizon);
+  ASSERT_EQ(applied.size(), changes.size() + 1);
+
+  Rng ref(11);
+  const double j = p.jitter_frac;
+  const auto freq_at = [&](sim::SimTime t) {
+    Megahertz f = applied.front().f;
+    for (const Change& c : applied) {
+      if (c.at < t) f = c.f;  // no change lands exactly on a round start
+    }
+    return f;
+  };
+  std::vector<std::pair<sim::SimTime, double>> expected;
+  for (sim::SimTime start = 0.0;;) {
+    const double f_ghz = freq_at(start).value / 1000.0;
+    const double subset_time =
+        p.subset_s_ghz / f_ghz * ref.uniform(1.0 - j, 1.0 + j);
+    const sim::SimTime end = start + subset_time;
+    if (end > kHorizon) break;
+    expected.emplace_back(end, subset_time);
+    start = end;
+  }
+  const SampleRing& got = task.subset_latency().samples();
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(bits(got[i].time), bits(expected[i].first)) << "round " << i;
+    EXPECT_EQ(bits(got[i].value), bits(expected[i].second)) << "round " << i;
+  }
+  EXPECT_EQ(task.subsets_evaluated(), expected.size() * p.cores);
 }
 
 }  // namespace
