@@ -18,7 +18,8 @@ std::size_t default_queue_capacity(const StreamParams& p) {
 InferenceStream::InferenceStream(sim::Engine& engine, hw::ServerModel& server,
                                  std::size_t gpu_index, StreamParams params,
                                  Rng rng)
-    : engine_(&engine),
+    : LazyChain(engine),
+      engine_(&engine),
       server_(&server),
       gpu_index_(gpu_index),
       params_(std::move(params)),
@@ -169,16 +170,65 @@ void InferenceStream::worker_start_image(std::size_t w) {
   set_worker_computing(w, true);
   const double compute = preprocess_duration();
   workers_[w].compute = compute;
-  // Workers are self-perpetuating event chains: in the common case this
-  // start runs inside the worker's own completion callback, so the fired
-  // event re-arms in place (no slot recycle, no callback rebuild, one
-  // sift-down). When the start comes from another event — initial start,
-  // a blocked worker woken by the consumer, an arrival wakeup — the stored
-  // id is not the firing event and we fall back to a fresh schedule.
+  // A closed-loop worker of a stream with a batch in flight arms its
+  // completion on the stream's lazy chain: until the batch ends, no push
+  // can start the consumer, so no event outside the stream sees it.
+  if (!params_.open_loop && in_flight_ > 0) {
+    Worker& worker = workers_[w];
+    worker.due = now + compute;
+    worker.seq = draw_seq();
+    worker.on_chain = true;
+    refresh_chain();
+    return;
+  }
+  // Otherwise workers are self-perpetuating heap event chains: in the
+  // common case this start runs inside the worker's own completion
+  // callback, so the fired event re-arms in place (no slot recycle, no
+  // callback rebuild, one sift-down). When the start comes from another
+  // event — initial start, a blocked worker woken by the consumer, an
+  // arrival wakeup — the stored id is not the firing event and we fall
+  // back to a fresh schedule.
   if (!engine_->try_reschedule_firing(workers_[w].event, compute)) {
     workers_[w].event = engine_->schedule_after(
         compute, [this, w] { worker_finish_image(w); });
   }
+}
+
+void InferenceStream::fire() {
+  const std::size_t w = chain_worker_;
+  workers_[w].on_chain = false;
+  worker_finish_image(w);
+  // A worker that started its next image re-armed the chain already.
+  if (!workers_[w].on_chain) refresh_chain();
+}
+
+void InferenceStream::refresh_chain() {
+  const Worker* next = nullptr;
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    const Worker& worker = workers_[w];
+    if (!worker.on_chain) continue;
+    if (next == nullptr || worker.due < next->due ||
+        (worker.due == next->due && worker.seq < next->seq)) {
+      next = &worker;
+      chain_worker_ = w;
+    }
+  }
+  if (next == nullptr) {
+    disarm();
+  } else {
+    set_next(next->due, next->seq);
+  }
+}
+
+void InferenceStream::move_chain_to_heap() {
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    Worker& worker = workers_[w];
+    if (!worker.on_chain) continue;
+    worker.on_chain = false;
+    worker.event = move_to_heap(worker.due, worker.seq,
+                                [this, w] { worker_finish_image(w); });
+  }
+  disarm();
 }
 
 void InferenceStream::submit_requests(std::size_t n_images) {
@@ -283,6 +333,9 @@ void InferenceStream::consumer_try_start() {
   } else {
     consumer_waiting_ = true;
     consumer_threshold_ = batch;
+    // From here a push may start the consumer, so every completion must
+    // fire in its exact place among the heap events.
+    move_chain_to_heap();
   }
 }
 

@@ -15,6 +15,15 @@
 // the steady-state request path performs no heap allocations and copies no
 // per-request structs. Event and RNG order are bit-for-bit those of the
 // historical value-passing pipeline (the bench byte-identity contract).
+//
+// Worker completions of a closed-loop stream run on the stream's lazy chain
+// (sim::Engine::LazyChain) while a batch is in flight: no push can start
+// the busy consumer then, so nothing outside the stream sees a completion
+// before the next heap event, and the engine catches the chain up before
+// each one. When a batch ends and the consumer must wait for pushes, the
+// pending chain completions move into the heap with their original seqs,
+// so every push that might start it fires in exact order. Open-loop
+// workers always use the heap: one going idle arms an arrival wakeup.
 #pragma once
 
 #include <array>
@@ -57,7 +66,7 @@ struct StreamParams {
 };
 
 /// One model pinned to one GPU, fed by dedicated CPU preprocessing workers.
-class InferenceStream {
+class InferenceStream : private sim::Engine::LazyChain {
  public:
   /// `gpu_index` selects the GPU inside `server`. All references must
   /// outlive the stream. Call start() to begin producing work.
@@ -187,13 +196,22 @@ class InferenceStream {
  private:
   struct Worker {
     bool computing{false};
+    bool on_chain{false};    ///< completion pending on the lazy chain
     RequestId req{0};        ///< pool id of the image currently held
     double compute{0.0};     ///< preprocess duration of the current image
-    sim::EventId event{0};   ///< completion event of the current image
+    sim::EventId event{0};   ///< completion heap event of the current image
+    sim::SimTime due{0.0};   ///< completion time while on the chain
+    std::uint64_t seq{0};    ///< its FIFO seq, drawn when it was armed
   };
 
   void worker_start_image(std::size_t w);
   void worker_finish_image(std::size_t w);
+  /// Runs the earliest chain completion (the lazy chain's event).
+  void fire() override;
+  /// Points the chain at its earliest pending completion, or disarms it.
+  void refresh_chain();
+  /// Moves every pending chain completion into the heap, keeping its seq.
+  void move_chain_to_heap();
   void worker_try_push(std::size_t w);
   void consumer_try_start();
   void consumer_finish_batch(double exec_latency);
@@ -217,6 +235,7 @@ class InferenceStream {
   RequestPool pool_;
   ImageQueue queue_;
   std::vector<Worker> workers_;
+  std::size_t chain_worker_{0};  ///< worker of the chain's next completion
   bool gpu_busy_{false};
   bool started_{false};
   std::size_t batch_size_{0};  // current (dynamic) batch size

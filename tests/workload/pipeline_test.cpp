@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "workload/cpu_load.hpp"
 #include "workload/latency_law.hpp"
 
 namespace capgpu::workload {
@@ -305,6 +309,124 @@ TEST(Pipeline, PinnedPreprocessFrequencyDecouplesFromCpu) {
   h.run(30.0);
   EXPECT_NEAR(h.stream->preprocess_compute_latency().mean(30.0, 10.0),
               0.02 / 2.4, 1e-9);
+}
+
+/// Everything the lazy worker chain can influence in one run, doubles kept
+/// as bit patterns where the comparison must be exact.
+struct LazyRunRecord {
+  std::vector<std::vector<std::uint64_t>> monitors;  ///< time, value, ...
+  std::vector<std::pair<double, double>> util_readings;    ///< (t, util)
+  std::vector<std::pair<double, double>> compute_samples;  ///< (end, dur)
+  std::uint64_t images{0};
+  std::uint64_t batches{0};
+  std::uint64_t heap_events{0};
+  std::size_t zero_queue_delays{0};
+  double blocked_s{0.0};  ///< push latency beyond compute, summed
+};
+
+LazyRunRecord run_lazy_worker_scenario(bool dense_catch_up) {
+  // Closed loop, 3 workers, preprocessing throttled with the package: the
+  // heap events below move the stream between GPU-bound phases (consumer
+  // busy, workers blocking on a full queue: completions on the chain) and
+  // CPU-bound ones (consumer waiting on pushes: completions in the heap).
+  StreamParams p = fast_model(3);
+  p.model.preprocess_s_ghz = 0.1;
+  p.model.jitter_frac = 0.05;
+  PipelineHarness h(p, 21);
+  HostCpuLoad load(h.server.cpu(), 8);
+  h.stream->on_worker_compute_change = [&](int d) {
+    load.worker_compute_delta(d);
+  };
+  h.server.cpu().set_frequency(2.4_GHz);
+  h.server.gpu(0).set_core_clock(1350_MHz);
+  h.stream->start();
+  auto& cpu = h.server.cpu();
+  auto& gpu = h.server.gpu(0);
+  auto& stream = *h.stream;
+  auto& e = h.engine;
+  e.schedule_at(5.37, [&] { cpu.set_frequency(1.0_GHz); });
+  e.schedule_at(11.83, [&] { gpu.set_core_clock(800_MHz); });
+  e.schedule_at(13.1, [&] { stream.set_batch_size(20); });
+  e.schedule_at(17.29, [&] { cpu.set_frequency(2.4_GHz); });
+  e.schedule_at(23.61, [&] { stream.set_batch_size(5); });
+  e.schedule_at(27.77, [&] {
+    cpu.set_frequency(1.4_GHz);
+    gpu.set_core_clock(1350_MHz);
+  });
+  e.schedule_at(33.05, [&] { stream.set_batch_size(10); });
+  LazyRunRecord r;
+  e.schedule_periodic(1.0, [&] {
+    r.util_readings.emplace_back(e.now(), load.utilization());
+  });
+  if (dense_catch_up) e.schedule_periodic(0.001, [] {});
+  h.run(40.0);
+
+  const auto keep = [&r](const SampleRing& ring) {
+    std::vector<std::uint64_t> out;
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      out.push_back(std::bit_cast<std::uint64_t>(ring[i].time));
+      out.push_back(std::bit_cast<std::uint64_t>(ring[i].value));
+    }
+    r.monitors.push_back(std::move(out));
+  };
+  keep(stream.images_throughput().samples());
+  keep(stream.batch_latency().samples());
+  keep(stream.queue_delay().samples());
+  keep(stream.preprocess_latency().samples());
+  keep(stream.preprocess_compute_latency().samples());
+  const SampleRing& compute = stream.preprocess_compute_latency().samples();
+  double compute_s = 0.0;
+  for (std::size_t i = 0; i < compute.size(); ++i) {
+    r.compute_samples.emplace_back(compute[i].time, compute[i].value);
+    compute_s += compute[i].value;
+  }
+  const SampleRing& pushed = stream.preprocess_latency().samples();
+  double pushed_s = 0.0;
+  for (std::size_t i = 0; i < pushed.size(); ++i) pushed_s += pushed[i].value;
+  r.blocked_s = pushed_s - compute_s;
+  const SampleRing& delays = stream.queue_delay().samples();
+  for (std::size_t i = 0; i < delays.size(); ++i) {
+    if (delays[i].value == 0.0) ++r.zero_queue_delays;
+  }
+  r.images = stream.images_completed();
+  r.batches = stream.batches_completed();
+  r.heap_events = e.events_executed();
+  return r;
+}
+
+TEST(Pipeline, LazyWorkersMatchEveryObserver) {
+  const LazyRunRecord r = run_lazy_worker_scenario(false);
+  // The run crosses both phases: pushes that started a waiting consumer
+  // (zero queue delay) and workers blocked on a full queue.
+  EXPECT_GT(r.zero_queue_delays, 20u);
+  EXPECT_GT(r.blocked_s, 1.0);
+  // Most completions stayed off the heap.
+  EXPECT_LT(r.heap_events, r.images / 2);
+
+  // Utilization oracle: every reading counts exactly the workers whose
+  // compute interval (end - duration, end] covers that instant. Readings
+  // stop a second before the horizon, so every covering image completed.
+  ASSERT_EQ(r.util_readings.size(), 40u);
+  for (std::size_t k = 0; k + 1 < r.util_readings.size(); ++k) {
+    const auto [t, util] = r.util_readings[k];
+    int computing = 0;
+    for (const auto& [end, dur] : r.compute_samples) {
+      if (end - dur < t && t < end) ++computing;
+    }
+    EXPECT_EQ(util, computing / 8.0) << "t = " << t;
+  }
+
+  // Catch-up density oracle: a 1-ms no-op heap event makes the chain catch
+  // up a thousand times a second instead of only at the events that
+  // interact; every observable must stay bitwise the same.
+  const LazyRunRecord dense = run_lazy_worker_scenario(true);
+  ASSERT_EQ(dense.monitors.size(), r.monitors.size());
+  for (std::size_t m = 0; m < r.monitors.size(); ++m) {
+    EXPECT_EQ(dense.monitors[m], r.monitors[m]) << "monitor " << m;
+  }
+  EXPECT_EQ(dense.util_readings, r.util_readings);
+  EXPECT_EQ(dense.images, r.images);
+  EXPECT_EQ(dense.batches, r.batches);
 }
 
 }  // namespace
