@@ -1,23 +1,18 @@
-// Engine hot-path microbenchmark: the pooled-slot sim::Engine vs the
-// pre-overhaul map-based kernel, on the event patterns the simulations
-// actually generate.
+// Engine hot-path microbenchmark: the pooled-slot sim::Engine's events/s
+// on the event patterns the simulations actually generate.
 //
-// The old engine is embedded below (LegacyEngine) so the comparison stays
-// honest after the rewrite: both kernels compile with the same flags into
-// the same binary and run the same workloads. Results print as a table and
-// are written to a JSON report (default BENCH_engine.json, override with
-// --out <path>) which scripts/run_perf.sh merges into BENCH_perf.json;
-// docs/performance.md describes the format. The request-timeline overhead
-// guards below print PASS/FAIL, and the bench exits 1 when one fails.
+// Results print as a table and are written to a JSON report (default
+// BENCH_engine.json, override with --out <path>) which scripts/run_perf.sh
+// merges into BENCH_perf.json; docs/performance.md describes the format.
+// The request-timeline overhead guards below print PASS/FAIL, and the
+// bench exits 1 when one fails.
 #include <chrono>
-#include <cstdlib>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
-#include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common.hpp"
@@ -30,107 +25,6 @@
 #include "workload/pipeline.hpp"
 
 using namespace capgpu;
-
-namespace legacy {
-
-// The pre-overhaul kernel, verbatim: std::function callbacks, a
-// priority_queue of nodes, and an unordered_map of live events consulted
-// on every fire.
-using SimTime = double;
-using EventId = std::uint64_t;
-
-class LegacyEngine {
- public:
-  using Callback = std::function<void()>;
-
-  [[nodiscard]] SimTime now() const { return now_; }
-
-  EventId schedule_at(SimTime at, Callback cb) {
-    CAPGPU_REQUIRE(at >= now_, "cannot schedule an event in the past");
-    CAPGPU_REQUIRE(static_cast<bool>(cb), "cannot schedule a null callback");
-    const EventId id = next_id_++;
-    live_.emplace(id, State{std::move(cb), false, 0.0});
-    queue_.push(Node{at, next_seq_++, id});
-    return id;
-  }
-
-  EventId schedule_after(SimTime delay, Callback cb) {
-    CAPGPU_REQUIRE(delay >= 0.0, "negative delay");
-    return schedule_at(now_ + delay, std::move(cb));
-  }
-
-  EventId schedule_periodic(SimTime period, Callback cb) {
-    CAPGPU_REQUIRE(period > 0.0, "periodic events need a positive period");
-    CAPGPU_REQUIRE(static_cast<bool>(cb), "cannot schedule a null callback");
-    const EventId id = next_id_++;
-    live_.emplace(id, State{std::move(cb), true, period});
-    queue_.push(Node{now_ + period, next_seq_++, id});
-    return id;
-  }
-
-  void cancel(EventId id) { live_.erase(id); }
-
-  bool step() {
-    while (!queue_.empty()) {
-      const Node node = queue_.top();
-      queue_.pop();
-      auto it = live_.find(node.id);
-      if (it == live_.end()) continue;
-      now_ = node.time;
-      ++executed_;
-      if (it->second.periodic) {
-        queue_.push(Node{node.time + it->second.period, next_seq_++, node.id});
-        Callback cb = it->second.cb;
-        cb();
-      } else {
-        Callback cb = std::move(it->second.cb);
-        live_.erase(it);
-        cb();
-      }
-      return true;
-    }
-    return false;
-  }
-
-  void run_until(SimTime until) {
-    CAPGPU_REQUIRE(until >= now_, "run_until target is in the past");
-    for (;;) {
-      while (!queue_.empty() && !live_.contains(queue_.top().id)) queue_.pop();
-      if (queue_.empty() || queue_.top().time > until) break;
-      step();
-    }
-    now_ = until;
-  }
-
-  [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-
- private:
-  struct State {
-    Callback cb;
-    bool periodic{false};
-    SimTime period{0.0};
-  };
-  struct Node {
-    SimTime time;
-    std::uint64_t seq;
-    EventId id;
-  };
-  struct Later {
-    bool operator()(const Node& a, const Node& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  SimTime now_{0.0};
-  std::uint64_t next_seq_{0};
-  EventId next_id_{1};
-  std::uint64_t executed_{0};
-  std::priority_queue<Node, std::vector<Node>, Later> queue_;
-  std::unordered_map<EventId, State> live_;
-};
-
-}  // namespace legacy
 
 namespace {
 
@@ -149,8 +43,7 @@ struct MonitorState {
   double last;
 };
 
-template <typename EngineT>
-void workload_periodic(EngineT& e) {
+void workload_periodic(sim::Engine& e) {
   std::uint64_t acc = 0;
   for (int i = 0; i < 64; ++i) {
     MonitorState st{&acc, 1.0 + 0.01 * i, 0.5 * i, 0.0};
@@ -165,9 +58,8 @@ void workload_periodic(EngineT& e) {
 // Self-propagating chain: each completion schedules the next batch with a
 // fresh callable, exactly like the pipeline's consumer_finish_batch
 // (captures object pointer, accumulator, and the batch latency).
-template <typename EngineT>
 struct ChainEvent {
-  EngineT* e;
+  sim::Engine* e;
   std::uint64_t* acc;
   double exec;
   void operator()() const {
@@ -176,22 +68,20 @@ struct ChainEvent {
   }
 };
 
-template <typename EngineT>
-void workload_chains(EngineT& e) {
+void workload_chains(sim::Engine& e) {
   std::uint64_t acc = 0;
   for (int c = 0; c < 32; ++c) {
     e.schedule_after(0.5 + 0.01 * c,
-                     ChainEvent<EngineT>{&e, &acc, 1.0 + 0.001 * c});
+                     ChainEvent{&e, &acc, 1.0 + 0.001 * c});
   }
   e.run_until(17000.0);
 }
 
-template <typename EngineT>
-void workload_cancel_heavy(EngineT& e) {
+void workload_cancel_heavy(sim::Engine& e) {
   // Watchdog pattern: arm a deadline, cancel and re-arm before it fires.
   std::uint64_t acc = 0;
   e.schedule_periodic(1.0, [&acc] { ++acc; });
-  auto watchdog = decltype(e.schedule_at(0.0, [] {})){};
+  sim::EventId watchdog{};
   for (int round = 0; round < 200000; ++round) {
     if (round != 0) e.cancel(watchdog);
     MonitorState st{&acc, 1000.0, double(round), 0.0};
@@ -203,8 +93,7 @@ void workload_cancel_heavy(EngineT& e) {
   }
 }
 
-template <typename EngineT>
-void workload_mixed(EngineT& e) {
+void workload_mixed(sim::Engine& e) {
   std::uint64_t acc = 0;
   for (int i = 0; i < 16; ++i) {
     MonitorState st{&acc, 0.9, 0.05 * i, 0.0};
@@ -225,6 +114,7 @@ void workload_mixed(EngineT& e) {
   };
   e.schedule_after(0.1, *chain);
   e.run_until(9100.0);
+  *chain = nullptr;  // the callback holds `chain`: break the cycle
 }
 
 struct Measurement {
@@ -232,42 +122,26 @@ struct Measurement {
   std::uint64_t events{0};
 };
 
-template <typename EngineT, typename Workload>
-Measurement run_once(Workload&& workload) {
-  EngineT e;
-  const auto t0 = std::chrono::steady_clock::now();
-  workload(e);
-  const auto t1 = std::chrono::steady_clock::now();
-  const double secs = std::chrono::duration<double>(t1 - t0).count();
-  return Measurement{
-      secs > 0.0 ? static_cast<double>(e.events_executed()) / secs : 0.0,
-      e.events_executed()};
-}
-
 struct Row {
-  std::string name;
-  Measurement legacy_m;
-  Measurement current_m;
-  [[nodiscard]] double speedup() const {
-    return legacy_m.events_per_s > 0.0
-               ? current_m.events_per_s / legacy_m.events_per_s
-               : 0.0;
-  }
+  const char* name;
+  void (*workload)(sim::Engine&);
+  Measurement best;
 };
 
-// Reps alternate legacy/pooled so both kernels sample the same machine
-// conditions — back-to-back blocks would fold timing drift into the ratio.
-// Best-of keeps the least-perturbed rep of each.
-template <typename Workload>
-Row measure_pair(const std::string& name, Workload&& workload, int reps) {
-  Row row{name, {}, {}};
+// Best-of keeps the least-perturbed rep: external noise only ever slows a
+// run down, so the maximum converges on the undisturbed speed.
+void measure(Row& row, int reps) {
   for (int r = 0; r < reps; ++r) {
-    const Measurement lm = run_once<legacy::LegacyEngine>(workload);
-    if (lm.events_per_s > row.legacy_m.events_per_s) row.legacy_m = lm;
-    const Measurement cm = run_once<sim::Engine>(workload);
-    if (cm.events_per_s > row.current_m.events_per_s) row.current_m = cm;
+    sim::Engine e;
+    const auto t0 = std::chrono::steady_clock::now();
+    row.workload(e);
+    const auto t1 = std::chrono::steady_clock::now();
+    const double secs = std::chrono::duration<double>(t1 - t0).count();
+    const Measurement m{
+        secs > 0.0 ? static_cast<double>(e.events_executed()) / secs : 0.0,
+        e.events_executed()};
+    if (m.events_per_s > row.best.events_per_s) row.best = m;
   }
-  return row;
 }
 
 // --- Request-timeline overhead guard -------------------------------------
@@ -339,21 +213,15 @@ struct OverheadResult {
 
 OverheadResult measure_timeline_overhead(const GuardedStream& stream,
                                          int reps) {
-  // Same protocol as measure_pair above: off/on reps alternate so both
-  // configurations sample the same machine conditions, and best-of keeps
-  // the least-perturbed rep of each — external noise only ever slows a
-  // run down, so the maxima converge on the undisturbed speeds.
+  // Off/on reps alternate so both configurations sample the same machine
+  // conditions, and best-of keeps the least-perturbed rep of each, as in
+  // measure() above.
   OverheadResult best;
   for (int i = 0; i < reps; ++i) {
     const StreamRate off = run_pipeline_once(false, stream.jitter_frac);
     if (off.images_per_s > best.baseline.images_per_s) best.baseline = off;
     const StreamRate on = run_pipeline_once(true, stream.jitter_frac);
     if (on.images_per_s > best.timeline.images_per_s) best.timeline = on;
-    if (std::getenv("CAPGPU_SELFPERF_DEBUG")) {
-      std::fprintf(stderr, "  %s rep %d: off %.2fM on %.2fM img/s\n",
-                   stream.name, i, off.images_per_s / 1e6,
-                   on.images_per_s / 1e6);
-    }
   }
   return best;
 }
@@ -370,37 +238,26 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     return 2;
   }
-  bench::print_banner("Engine self-perf: pooled-slot kernel vs legacy kernel",
+  bench::print_banner("Engine self-perf: pooled-slot kernel",
                       "events/sec on simulation-shaped workloads");
 
   constexpr int kReps = 7;
-  std::vector<Row> rows;
-  rows.push_back(measure_pair(
-      "periodic-timers", [](auto& e) { workload_periodic(e); }, kReps));
-  rows.push_back(measure_pair(
-      "oneshot-chains", [](auto& e) { workload_chains(e); }, kReps));
-  rows.push_back(measure_pair(
-      "cancel-heavy", [](auto& e) { workload_cancel_heavy(e); }, kReps));
-  rows.push_back(
-      measure_pair("mixed", [](auto& e) { workload_mixed(e); }, kReps));
-
+  Row rows[] = {{"periodic-timers", workload_periodic, {}},
+                {"oneshot-chains", workload_chains, {}},
+                {"cancel-heavy", workload_cancel_heavy, {}},
+                {"mixed", workload_mixed, {}}};
   telemetry::Table t("events/sec, best of " + std::to_string(kReps));
-  t.set_header({"workload", "events", "legacy ev/s", "pooled ev/s", "speedup"});
-  double worst_speedup = 1e9;
-  for (const Row& r : rows) {
-    t.add_row({r.name, std::to_string(r.current_m.events),
-               telemetry::fmt(r.legacy_m.events_per_s / 1e6, 2) + "M",
-               telemetry::fmt(r.current_m.events_per_s / 1e6, 2) + "M",
-               telemetry::fmt(r.speedup(), 2) + "x"});
-    worst_speedup = std::min(worst_speedup, r.speedup());
+  t.set_header({"workload", "events", "pooled ev/s"});
+  for (Row& r : rows) {
+    measure(r, kReps);
+    t.add_row({r.name, std::to_string(r.best.events),
+               telemetry::fmt(r.best.events_per_s / 1e6, 2) + "M"});
   }
   t.print();
-  std::printf("\n  worst-case speedup: %.2fx (target >= 1.5x)\n",
-              worst_speedup);
 
   // More reps than the engine table: the guard compares two nearly equal
   // speeds, so the best-of maxima need more samples to converge under
-  // machine noise than a 2x-apart engine comparison does.
+  // machine noise.
   constexpr int kOverheadReps = 15;
   std::printf(
       "\n  request-timeline overhead (tracing disabled, best of %d "
@@ -428,25 +285,21 @@ int main(int argc, char** argv) {
   }
   out << "{\n  \"engine_selfperf\": {\n    \"reps\": " << kReps
       << ",\n    \"workloads\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
+  char buf[512];
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
     const Row& r = rows[i];
-    char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "      {\"name\": \"%s\", \"events\": %llu, "
-                  "\"legacy_events_per_s\": %.0f, "
-                  "\"pooled_events_per_s\": %.0f, \"speedup\": %.3f}%s\n",
-                  r.name.c_str(),
-                  static_cast<unsigned long long>(r.current_m.events),
-                  r.legacy_m.events_per_s, r.current_m.events_per_s,
-                  r.speedup(), i + 1 < rows.size() ? "," : "");
+                  "\"pooled_events_per_s\": %.0f}%s\n",
+                  r.name, static_cast<unsigned long long>(r.best.events),
+                  r.best.events_per_s, i + 1 < std::size(rows) ? "," : "");
     out << buf;
   }
-  char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "    ],\n    \"worst_speedup\": %.3f\n  },\n"
+                "    ]\n  },\n"
                 "  \"timeline_overhead\": {\n    \"reps\": %d,\n"
                 "    \"streams\": [\n",
-                worst_speedup, kOverheadReps);
+                kOverheadReps);
   out << buf;
   for (std::size_t i = 0; i < overheads.size(); ++i) {
     const GuardedStream& g = kGuardedStreams[i];

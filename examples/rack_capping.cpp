@@ -30,15 +30,6 @@ struct Server {
   std::unique_ptr<core::ControlLoop> loop;
 };
 
-double gpu_throughput_deficit(core::ServerRig& rig) {
-  const auto normalized = rig.normalized_throughputs();
-  double deficit = 0.0;
-  for (std::size_t j = 1; j < normalized.size(); ++j) {
-    deficit += 1.0 - normalized[j];
-  }
-  return deficit / static_cast<double>(normalized.size() - 1);
-}
-
 }  // namespace
 
 int main() {

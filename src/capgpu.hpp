@@ -55,8 +55,5 @@
 #include "telemetry/timeseries.hpp"
 
 #include "workload/arrivals.hpp"
-#include "workload/dataset_io.hpp"
-#include "workload/feature_selection.hpp"
 #include "workload/model_zoo.hpp"
 #include "workload/pipeline.hpp"
-#include "workload/trace_gen.hpp"
