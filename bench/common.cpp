@@ -1,6 +1,7 @@
 #include "common.hpp"
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/options.hpp"
 #include "runner/scenario_runner.hpp"
@@ -15,6 +16,7 @@
 #include "telemetry/resilience.hpp"
 #include "telemetry/sketch.hpp"
 #include "telemetry/slo.hpp"
+#include "telemetry/table.hpp"
 #include "telemetry/trace.hpp"
 #include "workload/request_timeline.hpp"
 
@@ -48,25 +50,23 @@ ObservabilityOutputs& outputs() {
   return out;
 }
 
+// Numbers keep the spellings they have always had: %.10g (the stream's
+// default float format at precision 10) and %.3f for the wall time.
 void write_summary(const std::string& path) {
   std::ofstream file(path, std::ios::trunc);
   if (!file) throw Error("cannot write summary file: " + path);
+  file.precision(10);
   const auto& out = outputs();
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     out.started)
           .count();
-  char wall[32];
-  std::snprintf(wall, sizeof wall, "%.3f", wall_s);
   file << "{\n  \"scenarios\": " << runner::ScenarioRunner::scenarios_executed()
-       << ",\n  \"jobs\": " << jobs() << ",\n  \"wall_time_s\": " << wall;
+       << ",\n  \"jobs\": " << jobs()
+       << ",\n  \"wall_time_s\": " << telemetry::fmt(wall_s, 3);
   if (out.flight_path) {
-    std::string escaped;
-    for (const char c : *out.flight_path) {
-      if (c == '"' || c == '\\') escaped += '\\';
-      escaped += c;
-    }
-    file << ",\n  \"flight_log\": \"" << escaped << "\",\n  \"flight_records\": "
+    file << ",\n  \"flight_log\": \"" << json::escape(*out.flight_path)
+         << "\",\n  \"flight_records\": "
          << telemetry::FlightRecorder::global().records().size();
   }
   const auto& resilience = telemetry::ResilienceRegistry::global();
@@ -74,13 +74,10 @@ void write_summary(const std::string& path) {
     file << ",\n  \"resilience\": [";
     bool first_entry = true;
     for (const auto& e : resilience.entries()) {
-      char buf[160];
-      std::snprintf(buf, sizeof buf,
-                    "{\"variant\":\"%s\",\"stage\":\"%s\",\"mttr_s\":%.10g,"
-                    "\"failsafe_entries\":%llu}",
-                    e.variant.c_str(), e.stage.c_str(), e.mttr_s,
-                    static_cast<unsigned long long>(e.failsafe_entries));
-      file << (first_entry ? "\n    " : ",\n    ") << buf;
+      file << (first_entry ? "\n    " : ",\n    ") << "{\"variant\":\""
+           << json::escape(e.variant) << "\",\"stage\":\""
+           << json::escape(e.stage) << "\",\"mttr_s\":" << e.mttr_s
+           << ",\"failsafe_entries\":" << e.failsafe_entries << '}';
       first_entry = false;
     }
     file << "\n  ]";
@@ -97,13 +94,9 @@ void write_summary(const std::string& path) {
     }
     const double jpr =
         requests ? total_j / static_cast<double>(requests) : 0.0;
-    char buf[200];
-    std::snprintf(buf, sizeof buf,
-                  "{\"total_joules\":%.10g,\"idle_joules\":%.10g,"
-                  "\"requests\":%llu,\"joules_per_request\":%.10g}",
-                  total_j, idle_j, static_cast<unsigned long long>(requests),
-                  jpr);
-    file << ",\n  \"energy\": " << buf;
+    file << ",\n  \"energy\": {\"total_joules\":" << total_j
+         << ",\"idle_joules\":" << idle_j << ",\"requests\":" << requests
+         << ",\"joules_per_request\":" << jpr << '}';
   }
   file << ",\n  \"stage_p99_s\": [";
   bool first = true;
@@ -118,10 +111,9 @@ void write_summary(const std::string& path) {
         if (k == "model") model = v;
         if (k == "stage") stage = v;
       }
-      char p99[64];
-      std::snprintf(p99, sizeof p99, "%.10g", inst->sketch->quantile(0.99));
-      file << (first ? "\n    " : ",\n    ") << "{\"model\":\"" << model
-           << "\",\"stage\":\"" << stage << "\",\"p99\":" << p99 << '}';
+      file << (first ? "\n    " : ",\n    ") << "{\"model\":\""
+           << json::escape(model) << "\",\"stage\":\"" << json::escape(stage)
+           << "\",\"p99\":" << inst->sketch->quantile(0.99) << '}';
       first = false;
     }
   }

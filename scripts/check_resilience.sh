@@ -7,8 +7,10 @@
 # telemetry contexts in one process. Then gate on the scores:
 # the health-managed coordinator must burn strictly less SLO error budget
 # during the fault than the health-disabled baseline, must actually detect
-# the fault, and must recover within a pinned MTTR bound. Registered as
-# the `chaos` CTest label; scripts/check.sh runs it via ctest.
+# the fault, and must recover within a pinned MTTR bound. Last, the
+# --summary-out JSON must parse and carry a campaign's stage name intact,
+# even one that holds quotes and runs past 160 bytes. Registered as the
+# `chaos` CTest label; scripts/check.sh runs it via ctest.
 #
 # Usage: check_resilience.sh <bench_chaos_campaigns_binary>
 set -euo pipefail
@@ -29,7 +31,8 @@ artifacts() {
     --energy-out "$tmp/$prefix.energy.json" "$@"
 }
 
-artifacts jobs1 --jobs 1 > "$tmp/out.txt"
+artifacts jobs1 --jobs 1 --summary-out "$tmp/jobs1.summary.json" \
+  > "$tmp/out.txt"
 scorecard="$tmp/jobs1.resilience.json"
 [ -s "$scorecard" ] || { echo "FAIL: resilience.json empty"; exit 1; }
 
@@ -67,5 +70,23 @@ awk -v d="$base_detect" 'BEGIN { exit !(d < 0) }' \
   || { echo "FAIL: health-disabled baseline claims a detection"; exit 1; }
 awk -v m="$hard_mttr" 'BEGIN { exit !(m >= 0 && m <= 120) }' \
   || { echo "FAIL: hardened MTTR $hard_mttr outside [0, 120] s"; exit 1; }
+
+# Summary: valid JSON with the stages, whatever their names hold.
+jq -e '.resilience | length > 0' "$tmp/jobs1.summary.json" >/dev/null \
+  || { echo "FAIL: summary lacks the resilience stages"; exit 1; }
+stage="pdu \"A\" brownout $(printf 'x%.0s' $(seq 150))"
+jq -n --arg stage "$stage" '{
+  name: "quoted_stage",
+  topology: {racks: 1, pdus_per_rack: 2, rigs_per_pdu: 2},
+  periods: 40,
+  stages: [{name: $stage, node: "rack0/pdu0",
+            fault: {kind: "brownout", start_s: 40.0, duration_s: 40.0,
+                    magnitude: 0.12}}]
+}' > "$tmp/quoted_stage.json"
+"$BENCH" --campaign "$tmp/quoted_stage.json" \
+  --summary-out "$tmp/quoted.summary.json" > /dev/null
+jq -e --arg stage "$stage" '.resilience[0].stage == $stage' \
+  "$tmp/quoted.summary.json" >/dev/null \
+  || { echo "FAIL: summary lost the ${#stage}-byte stage name"; exit 1; }
 
 echo "resilience gate: PASS (burn $hard_burn < $base_burn during the fault, MTTR $hard_mttr s)"

@@ -1,7 +1,8 @@
-// Exporter golden tests: the Prometheus exposition and Chrome trace JSON
-// are pinned byte-for-byte. Both formats are consumed by external tools
-// (promtool, Perfetto), so accidental format drift is a real break even
-// when the numbers are right.
+// Exporter golden tests: the Prometheus exposition, the Chrome trace JSON
+// and the resilience report are pinned byte-for-byte. The first two are
+// consumed by external tools (promtool, Perfetto), the report by jq gates
+// and capgpu_report, so accidental format drift is a real break even when
+// the numbers are right.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +11,7 @@
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/prometheus.hpp"
+#include "telemetry/resilience.hpp"
 #include "telemetry/trace.hpp"
 
 namespace capgpu::telemetry {
@@ -179,6 +181,96 @@ TEST(ChromeTraceGolden, EmptyTracerStillValidDocument) {
   std::ostringstream out;
   tracer.write_chrome_json(out);
   EXPECT_EQ(out.str(), "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n]}\n");
+}
+
+TEST(ResilienceGolden, EmptyRegistryStillValidDocument) {
+  const ResilienceRegistry reg;
+  EXPECT_EQ(to_resilience_report(reg), "{\n  \"campaigns\": [\n  ]\n}\n");
+}
+
+TEST(ResilienceGolden, EntriesInRegistryOrder) {
+  ResilienceRegistry reg;
+  ResilienceEntry hardened;
+  hardened.pid = 3;
+  hardened.campaign = "pdu0_brownout";
+  hardened.variant = "hardened";
+  hardened.stage = "pdu_brownout";
+  hardened.fault_kind = "brownout";
+  hardened.domain = "rack0/pdu0";
+  hardened.fault_start_s = 200.0;
+  hardened.fault_end_s = 320.0;
+  hardened.detected_at_s = 212.5;
+  hardened.recovered_at_s = 328.0;
+  hardened.mttr_s = 8.0;
+  hardened.slo_burn_during = 0.125;
+  hardened.slo_burn_after = 0.0625;
+  hardened.recovery_overshoot_w = 14.75;
+  hardened.failsafe_dwell_s = 36.0;
+  hardened.failsafe_entries = 2;
+  hardened.health_transitions = 4;
+  reg.add(hardened);
+  // Never detected, never recovered: the -1 markers stay as they are.
+  ResilienceEntry baseline;
+  baseline.pid = 2;
+  baseline.campaign = "row \"B\"\\feed\n";
+  baseline.variant = "baseline";
+  baseline.stage = "brownout";
+  baseline.fault_kind = "brownout";
+  baseline.domain = "rack0/pdu1";
+  baseline.fault_start_s = 200.0;
+  baseline.fault_end_s = 320.0;
+  baseline.slo_burn_during = 1.0 / 3.0;
+  reg.add(baseline);
+
+  const std::string expected =
+      "{\n  \"campaigns\": [\n"
+      "    {\"pid\":3,\"campaign\":\"pdu0_brownout\",\"variant\":\"hardened\","
+      "\"stage\":\"pdu_brownout\",\"fault_kind\":\"brownout\","
+      "\"domain\":\"rack0/pdu0\",\"fault_start_s\":200,\"fault_end_s\":320,"
+      "\"detected_at_s\":212.5,\"recovered_at_s\":328,\"mttr_s\":8,"
+      "\"slo_burn_during\":0.125,\"slo_burn_after\":0.0625,"
+      "\"recovery_overshoot_w\":14.75,\"failsafe_dwell_s\":36,"
+      "\"failsafe_entries\":2,\"health_transitions\":4},\n"
+      "    {\"pid\":2,\"campaign\":\"row \\\"B\\\"\\\\feed\\n\","
+      "\"variant\":\"baseline\",\"stage\":\"brownout\","
+      "\"fault_kind\":\"brownout\",\"domain\":\"rack0/pdu1\","
+      "\"fault_start_s\":200,\"fault_end_s\":320,\"detected_at_s\":-1,"
+      "\"recovered_at_s\":-1,\"mttr_s\":-1,"
+      "\"slo_burn_during\":0.3333333333,\"slo_burn_after\":0,"
+      "\"recovery_overshoot_w\":0,\"failsafe_dwell_s\":0,"
+      "\"failsafe_entries\":0,\"health_transitions\":0}\n"
+      "  ]\n}\n";
+  EXPECT_EQ(to_resilience_report(reg), expected);
+}
+
+TEST(ResilienceGolden, MergeShiftsPidsByOffset) {
+  ResilienceRegistry parent;
+  ResilienceEntry own;
+  own.pid = 1;
+  own.variant = "parent";
+  parent.add(own);
+  ResilienceRegistry child;
+  for (const int pid : {1, 2}) {
+    ResilienceEntry e;
+    e.pid = pid;
+    e.variant = "child";
+    child.add(e);
+  }
+  parent.merge_from(child, 10);
+
+  ASSERT_EQ(parent.entries().size(), 3u);
+  EXPECT_EQ(parent.entries()[0].variant, "parent");
+  EXPECT_EQ(parent.entries()[1].pid, 11);
+  EXPECT_EQ(parent.entries()[2].pid, 12);
+  const std::string report = to_resilience_report(parent);
+  const auto own_at = report.find("{\"pid\":1,");
+  const auto first_child_at = report.find("{\"pid\":11,");
+  const auto second_child_at = report.find("{\"pid\":12,");
+  ASSERT_NE(second_child_at, std::string::npos);
+  EXPECT_LT(own_at, first_child_at);
+  EXPECT_LT(first_child_at, second_child_at);
+  // The child registry keeps its own pids.
+  EXPECT_EQ(child.entries()[0].pid, 1);
 }
 
 }  // namespace
