@@ -5,7 +5,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
+# Warnings are errors here: the default build compiles without one.
+cmake -B build -G Ninja -DCAPGPU_WERROR=ON
 cmake --build build
 
 ctest --test-dir build -j"$(nproc)" --output-on-failure
