@@ -144,8 +144,12 @@ int main(int argc, char** argv) {
     std::string budgets;
     std::string thr;
     for (std::size_t i = 0; i < o.budgets.size(); ++i) {
-      budgets += (i ? "/" : "") + telemetry::fmt(o.budgets[i], 0);
-      thr += (i ? "/" : "") + telemetry::fmt(o.throughputs[i], 0);
+      if (i > 0) {
+        budgets += '/';
+        thr += '/';
+      }
+      budgets += telemetry::fmt(o.budgets[i], 0);
+      thr += telemetry::fmt(o.throughputs[i], 0);
     }
     t.add_row({policy_name(policies[k]), telemetry::fmt(o.rack_power_mean, 1),
                budgets, thr, telemetry::fmt(o.rack_throughput, 1)});

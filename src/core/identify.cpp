@@ -4,14 +4,18 @@
 
 namespace capgpu::core {
 
-control::IdentifiedModel run_system_identification(sim::Engine& engine,
-                                                   hal::ServerHal& hal,
-                                                   IdentifyOptions options) {
+control::IdentifiedModel run_system_identification(
+    sim::Engine& engine, hal::ServerHal& hal, IdentifyOptions options,
+    const std::function<void()>& between_steps) {
   CAPGPU_REQUIRE(options.levels_per_device >= 2,
                  "need at least two levels per sweep");
   const std::size_t n = hal.device_count();
   control::SystemIdentifier identifier(n);
 
+  const auto run_for = [&](double seconds) {
+    engine.run_until(engine.now() + seconds);
+    if (between_steps) between_steps();
+  };
   auto hold_level = [&](std::size_t j) {
     const auto& table = hal.device_freqs(DeviceId{static_cast<std::uint32_t>(j)});
     const double f = table.min().value +
@@ -25,7 +29,7 @@ control::IdentifiedModel run_system_identification(sim::Engine& engine,
     hal.set_device_frequency(DeviceId{static_cast<std::uint32_t>(j)},
                              hold_level(j));
   }
-  engine.run_until(engine.now() + options.settle.value);
+  run_for(options.settle.value);
 
   for (std::size_t swept = 0; swept < n; ++swept) {
     const DeviceId swept_id{static_cast<std::uint32_t>(swept)};
@@ -36,8 +40,8 @@ control::IdentifiedModel run_system_identification(sim::Engine& engine,
       const Megahertz target{table.min().value +
                              frac * (table.max().value - table.min().value)};
       hal.set_device_frequency(swept_id, target);
-      engine.run_until(engine.now() + options.settle.value);
-      engine.run_until(engine.now() + options.measure.value);
+      run_for(options.settle.value);
+      run_for(options.measure.value);
 
       std::vector<double> freqs(n);
       for (std::size_t j = 0; j < n; ++j) {
@@ -48,7 +52,7 @@ control::IdentifiedModel run_system_identification(sim::Engine& engine,
     }
     // Return the swept device to its hold level before the next sweep.
     hal.set_device_frequency(swept_id, hold_level(swept));
-    engine.run_until(engine.now() + options.settle.value);
+    run_for(options.settle.value);
   }
   return identifier.fit();
 }

@@ -7,6 +7,8 @@
 // the LinearPowerModel the controllers consume.
 #pragma once
 
+#include <functional>
+
 #include "control/sysid.hpp"
 #include "hal/server_hal.hpp"
 #include "sim/engine.hpp"
@@ -28,7 +30,10 @@ struct IdentifyOptions {
 
 /// Runs the sweep on the simulated server (advances simulation time) and
 /// fits the affine power model. Returns the identified model with its R^2.
+/// `between_steps` runs after each run_until step, outside any event
+/// (core::ServerRig trims its monitors there).
 [[nodiscard]] control::IdentifiedModel run_system_identification(
-    sim::Engine& engine, hal::ServerHal& hal, IdentifyOptions options = {});
+    sim::Engine& engine, hal::ServerHal& hal, IdentifyOptions options,
+    const std::function<void()>& between_steps);
 
 }  // namespace capgpu::core

@@ -70,6 +70,7 @@ ServerRig::ServerRig(RigConfig config)
     sp.model = config_.models[i];
     sp.n_preprocess_workers = config_.preprocess_workers_per_stream;
     sp.open_loop = !config_.offered_load.empty();
+    sp.per_image_monitors = false;  // no rig reader sees them
     auto stream = std::make_unique<workload::InferenceStream>(
         engine_, server_, i, sp, rng.split());
     stream->on_worker_compute_change = [this](int delta) {
@@ -178,7 +179,11 @@ std::map<std::size_t, control::LatencyModel> ServerRig::latency_models()
 }
 
 control::IdentifiedModel ServerRig::identify(IdentifyOptions options) {
-  return run_system_identification(engine_, *hal_, options);
+  // The sweep runs for minutes without a control period; trim between its
+  // steps as end_period() would for a measure-long period.
+  const double period_s = options.measure.value;
+  return run_system_identification(
+      engine_, *hal_, options, [this, period_s] { trim_monitors(period_s); });
 }
 
 control::LinearPowerModel ServerRig::analytic_power_model() const {
@@ -419,7 +424,6 @@ void ServerRig::attribute_energy(const std::string& policy) {
 }
 
 void ServerRig::end_period(double set_point_w, double period_s) {
-  const double now = engine_.now();
   if (ledger_) {
     double avg_w = last_meter_w_;
     try {
@@ -435,6 +439,11 @@ void ServerRig::end_period(double set_point_w, double period_s) {
     }
     ledger_->end_period();
   }
+  trim_monitors(period_s);
+}
+
+void ServerRig::trim_monitors(double period_s) {
+  const double now = engine_.now();
   const double horizon = std::max(period_s, config_.throughput_window.value);
   for (auto& s : streams_) s->trim_monitors(now, horizon);
   cpu_task_->trim_monitors(now, horizon);

@@ -170,6 +170,11 @@ class ServerRig {
   [[nodiscard]] std::map<std::size_t, control::LatencyModel> latency_models() const;
 
   /// Runs the paper's sysid sweep on this rig (advances simulated time).
+  /// Between the sweep's steps, outside any event, trims every monitor to
+  /// max(options.measure, RigConfig::throughput_window), as end_period()
+  /// trims to its period: the sweep runs minutes of simulated time without
+  /// a control period. A query made when identify() returns may reach back
+  /// that far and no further.
   [[nodiscard]] control::IdentifiedModel identify(IdentifyOptions options = {});
 
   /// Analytic power model straight from the hardware parameters at full
@@ -212,6 +217,11 @@ class ServerRig {
   void settle();
 
  private:
+  /// Trims every monitor of the streams and the CPU task to
+  /// max(period_s, RigConfig::throughput_window) before now (see
+  /// end_period()).
+  void trim_monitors(double period_s);
+
   RigConfig config_;
   sim::Engine engine_;
   hw::ServerModel server_;

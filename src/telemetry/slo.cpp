@@ -25,14 +25,8 @@ SloBurnMonitor::SloBurnMonitor(SloBurnConfig config) : config_(config) {
                  "clear fraction must be in (0, 1]");
 }
 
-double SloBurnMonitor::window_burn(double now, double window_s) const {
-  std::uint64_t checked = 0;
-  std::uint64_t missed = 0;
-  for (auto it = samples_.rbegin(); it != samples_.rend(); ++it) {
-    if (it->time <= now - window_s) break;
-    checked += it->checked;
-    missed += it->missed;
-  }
+double SloBurnMonitor::burn(std::uint64_t checked,
+                            std::uint64_t missed) const {
   if (checked == 0) return 0.0;
   const double miss_rate =
       static_cast<double>(missed) / static_cast<double>(checked);
@@ -44,18 +38,37 @@ SloBurnMonitor::Transition SloBurnMonitor::record(double now,
                                                   std::uint64_t missed) {
   if (!config_.enabled) return Transition::kNone;
   CAPGPU_REQUIRE(missed <= checked, "missed cannot exceed checked");
+  CAPGPU_REQUIRE(samples_.empty() || now >= samples_.back().time,
+                 "SLO samples must not go back in time");
   samples_.push_back({now, checked, missed});
-  while (!samples_.empty() &&
-         samples_.front().time <= now - config_.slow_window_s) {
+  fast_checked_ += checked;
+  fast_missed_ += missed;
+  slow_checked_ += checked;
+  slow_missed_ += missed;
+  // Age samples out of the fast window first: one at or before the slow
+  // cutoff is also at or before the fast one, so the cursor has passed it
+  // by the time the slow window pops it.
+  const double fast_cutoff = now - config_.fast_window_s;
+  while (fast_begin_ < samples_.size() &&
+         samples_[fast_begin_].time <= fast_cutoff) {
+    fast_checked_ -= samples_[fast_begin_].checked;
+    fast_missed_ -= samples_[fast_begin_].missed;
+    ++fast_begin_;
+  }
+  const double slow_cutoff = now - config_.slow_window_s;
+  while (!samples_.empty() && samples_.front().time <= slow_cutoff) {
+    slow_checked_ -= samples_.front().checked;
+    slow_missed_ -= samples_.front().missed;
     samples_.pop_front();
+    --fast_begin_;
   }
   checked_total_ += checked;
   missed_total_ += missed;
-  fast_burn_ = window_burn(now, config_.fast_window_s);
-  slow_burn_ = window_burn(now, config_.slow_window_s);
+  fast_burn_ = burn(fast_checked_, fast_missed_);
+  slow_burn_ = burn(slow_checked_, slow_missed_);
 
   // A tiny epsilon keeps ">= threshold" robust against the float division
-  // in window_burn: a burn landing exactly on the threshold must fire.
+  // in burn(): a burn landing exactly on the threshold must fire.
   const double eps = 1e-9 * config_.burn_threshold;
   if (!alerting_) {
     if (fast_burn_ >= config_.burn_threshold - eps &&

@@ -56,7 +56,9 @@ class SloBurnMonitor {
 
   /// Records one sampling period's SLO accounting (`checked` batches,
   /// `missed` of them over target) at virtual time `now` and evaluates the
-  /// alert condition. No-op returning kNone when disabled.
+  /// alert condition. `now` may repeat but must not go back in time. O(1)
+  /// amortized: each window keeps running totals. No-op returning kNone
+  /// when disabled.
   Transition record(double now, std::uint64_t checked, std::uint64_t missed);
 
   /// Burn rates over the respective windows ending at the last sample.
@@ -75,7 +77,8 @@ class SloBurnMonitor {
   [[nodiscard]] const SloBurnConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] double window_burn(double now, double window_s) const;
+  /// Burn rate of a window that checked `checked` and missed `missed`.
+  [[nodiscard]] double burn(std::uint64_t checked, std::uint64_t missed) const;
 
   struct Sample {
     double time;
@@ -84,7 +87,16 @@ class SloBurnMonitor {
   };
 
   SloBurnConfig config_;
+  /// Samples inside the slow window, oldest first. The fast window is the
+  /// suffix from index fast_begin_ (slow >= fast, so it is always one).
   std::deque<Sample> samples_;
+  std::size_t fast_begin_{0};
+  /// Integer sums over each window: exact, so a window's burn rate has the
+  /// same bits as a walk over its samples.
+  std::uint64_t fast_checked_{0};
+  std::uint64_t fast_missed_{0};
+  std::uint64_t slow_checked_{0};
+  std::uint64_t slow_missed_{0};
   double fast_burn_{0.0};
   double slow_burn_{0.0};
   bool alerting_{false};

@@ -275,14 +275,17 @@ void InferenceStream::worker_finish_image(std::size_t w) {
   // blocks on a full queue or idles: one that starts its next image inside
   // this event was never seen idle by any other event.
   pool_.preprocess_done[workers_[w].req] = engine_->now();
-  preprocess_compute_.record(engine_->now(), workers_[w].compute);
+  if (params_.per_image_monitors) {
+    preprocess_compute_.record(engine_->now(), workers_[w].compute);
+  }
   worker_try_push(w);
 }
 
 void InferenceStream::worker_try_push(std::size_t w) {
   if (!queue_.full()) {
     const RequestId id = workers_[w].req;
-    pool_.enqueued[id] = engine_->now();
+    const bool per_image = params_.per_image_monitors;
+    if (per_image) pool_.enqueued[id] = engine_->now();
     queue_.push(id);
     // The push that reaches the batch threshold starts the consumer
     // synchronously (it may pop this very id into a batch; the pool lanes
@@ -291,8 +294,10 @@ void InferenceStream::worker_try_push(std::size_t w) {
       consumer_waiting_ = false;
       consumer_try_start();
     }
-    preprocess_latency_.record(engine_->now(),
-                               engine_->now() - pool_.preprocess_start[id]);
+    if (per_image) {
+      preprocess_latency_.record(engine_->now(),
+                                 engine_->now() - pool_.preprocess_start[id]);
+    }
     worker_start_image(w);
   } else {
     set_worker_computing(w, false);
@@ -318,7 +323,9 @@ void InferenceStream::consumer_try_start() {
     for (std::size_t i = 0; i < batch; ++i) {
       const RequestId id = batch_ids_[i];
       pool_.batch_start[id] = now;
-      queue_delay_.record(now, now - pool_.enqueued[id]);
+      if (params_.per_image_monitors) {
+        queue_delay_.record(now, now - pool_.enqueued[id]);
+      }
     }
     batch_span_ = telemetry::Tracer::current().begin_span(trace_tid_, "batch",
                                                          "workload");

@@ -63,6 +63,14 @@ struct StreamParams {
   /// means behind take_stage_period_means(). Off = the pre-attribution
   /// fast path (the baseline of the selfperf overhead guard).
   bool stage_stats{true};
+  /// The three per-image latency monitors: queue_delay(),
+  /// preprocess_latency() and preprocess_compute_latency(), one sample per
+  /// image each. Table 1's motivation study reads them on a bare stream.
+  /// Off = they stay empty and the stream stamps no enqueue time (only
+  /// queue_delay() reads it); no event, seq or RNG draw moves.
+  /// core::ServerRig builds every stream with it off: its loop reads only
+  /// batch latency and throughput (paper Sec 3.1, step 2).
+  bool per_image_monitors{true};
 };
 
 /// One model pinned to one GPU, fed by dedicated CPU preprocessing workers.
@@ -133,7 +141,8 @@ class InferenceStream : private sim::Engine::LazyChain {
   /// GPU batch execution latency e_i (the quantity under SLO, Eq. 10c).
   [[nodiscard]] LatencyMonitor& batch_latency() { return batch_latency_; }
   [[nodiscard]] const LatencyMonitor& batch_latency() const { return batch_latency_; }
-  /// Per-image queue delay (enqueue -> dequeue into a batch).
+  /// Per-image queue delay (enqueue -> dequeue into a batch). This and the
+  /// next two stay empty unless StreamParams::per_image_monitors is on.
   [[nodiscard]] LatencyMonitor& queue_delay() { return queue_delay_; }
   [[nodiscard]] const LatencyMonitor& queue_delay() const { return queue_delay_; }
   /// Per-image preprocessing latency, including time blocked on a full queue.

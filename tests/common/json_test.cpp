@@ -135,10 +135,10 @@ TEST(Json, EscapePinsEveryControlCharacter) {
     EXPECT_EQ(escape(std::string(1, static_cast<char>(c))), expected[c])
         << "control character " << c;
     // The escape parses back to the character.
-    EXPECT_EQ(parse("\"" + escape(std::string(1, static_cast<char>(c))) +
-                    "\"")
-                  .as_string(),
-              std::string(1, static_cast<char>(c)));
+    std::string quoted = "\"";
+    quoted += escape(std::string(1, static_cast<char>(c)));
+    quoted += '"';
+    EXPECT_EQ(parse(quoted).as_string(), std::string(1, static_cast<char>(c)));
   }
   EXPECT_EQ(escape("\x7f\xc3\xa9"), "\x7f\xc3\xa9");  // DEL and UTF-8 pass
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 #include "core/rig.hpp"
 
@@ -64,6 +66,35 @@ TEST(Identify, AdvancesSimulatedTime) {
   const double before = rig.engine().now();
   (void)rig.identify();
   EXPECT_GT(rig.engine().now(), before + 60.0);
+}
+
+TEST(Identify, SweepKeepsOnlyTheThroughputWindow) {
+  // The sweep runs 328 s without a control period. Between its steps it
+  // trims every monitor to max(measure 4 s, throughput window 8 s), as
+  // end_period() trims to its period.
+  ServerRig rig;
+  (void)rig.identify();
+  const double now = rig.engine().now();
+  const double horizon = 8.0;
+  const double forever = std::numeric_limits<double>::infinity();
+  const auto expect_window_only = [&](const workload::LatencyMonitor& lat,
+                                      const workload::ThroughputMonitor& thr,
+                                      const char* name) {
+    const std::size_t in_window = lat.count(now, horizon);
+    EXPECT_GT(in_window, 0u) << name;
+    EXPECT_EQ(lat.count(now, forever), in_window) << name;
+    ASSERT_GT(thr.samples().size(), 0u) << name;
+    EXPECT_GT(thr.samples()[0].time, now - horizon) << name;
+  };
+  for (std::size_t i = 0; i < rig.gpu_count(); ++i) {
+    auto& s = rig.stream(i);
+    expect_window_only(s.batch_latency(), s.images_throughput(), "stream");
+  }
+  expect_window_only(rig.cpu_task().subset_latency(),
+                     rig.cpu_task().throughput(), "cpu task");
+  // The throughput window a caller reads right after the sweep still
+  // answers.
+  EXPECT_EQ(rig.normalized_throughputs().size(), 1 + rig.gpu_count());
 }
 
 }  // namespace

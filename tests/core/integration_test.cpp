@@ -298,20 +298,63 @@ TEST(Integration, FleetStyleRigMonitorsHoldOnlyTheThroughputWindow) {
   opt.set_point = 560_W;
   const RunResult res = rig.run(ctl, opt);
   // Read at the last control tick, where end_period() last trimmed: every
-  // latency monitor holds nothing older than the 8-s window.
+  // latency monitor holds nothing older than the 8-s window, and the
+  // per-image ones, which a rig stream never records, hold nothing.
   const double now = res.gpu_latency[0].times().back();
   const double forever = std::numeric_limits<double>::infinity();
   auto& s = rig.stream(0);
   const std::vector<std::pair<const char*, const workload::LatencyMonitor*>>
       monitors{{"batch_latency", &s.batch_latency()},
-               {"queue_delay", &s.queue_delay()},
-               {"preprocess_latency", &s.preprocess_latency()},
-               {"preprocess_compute_latency", &s.preprocess_compute_latency()},
                {"subset_latency", &rig.cpu_task().subset_latency()}};
   for (const auto& [name, monitor] : monitors) {
     const std::size_t in_window = monitor->count(now, 8.0);
     EXPECT_GT(in_window, 0u) << name;
     EXPECT_EQ(monitor->count(now, forever), in_window) << name;
+  }
+  const std::vector<std::pair<const char*, const workload::LatencyMonitor*>>
+      per_image{
+          {"queue_delay", &s.queue_delay()},
+          {"preprocess_latency", &s.preprocess_latency()},
+          {"preprocess_compute_latency", &s.preprocess_compute_latency()}};
+  for (const auto& [name, monitor] : per_image) {
+    EXPECT_EQ(monitor->count(now, forever), 0u) << name;
+  }
+}
+
+TEST(Integration, RigStreamsRecordNoPerImageMonitors) {
+  // Closed loop (saturated) and open loop: the rig reads only each
+  // stream's batch latency and throughput and the CPU task's monitors, so
+  // its streams leave the three per-image monitors empty.
+  for (const bool open_loop : {false, true}) {
+    RigConfig cfg;
+    if (open_loop) cfg.offered_load = {{0.0, 0.7}};
+    ServerRig rig(cfg);
+    baselines::GpuOnlyController ctl(rig.device_ranges(),
+                                     rig.analytic_power_model(), 0.3, 900_W);
+    RunOptions opt;
+    opt.periods = 10;
+    const RunResult res = rig.run(ctl, opt);
+    const double now = res.gpu_latency[0].times().back();
+    const double forever = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < rig.gpu_count(); ++i) {
+      auto& s = rig.stream(i);
+      EXPECT_GT(s.images_completed(), 0u) << open_loop << " stream " << i;
+      EXPECT_EQ(s.queue_delay().count(now, forever), 0u) << open_loop;
+      EXPECT_EQ(s.preprocess_latency().count(now, forever), 0u) << open_loop;
+      EXPECT_EQ(s.preprocess_compute_latency().count(now, forever), 0u)
+          << open_loop;
+      // The monitors the rig reads still hold their 8-s window.
+      const std::size_t batches = s.batch_latency().count(now, 8.0);
+      EXPECT_GT(batches, 0u) << open_loop << " stream " << i;
+      EXPECT_EQ(s.batch_latency().count(now, forever), batches) << open_loop;
+      EXPECT_GT(s.images_throughput().rate(now, 8.0), 0.0) << open_loop;
+      EXPECT_EQ(s.images_throughput().samples().size(), batches) << open_loop;
+    }
+    const auto& task = rig.cpu_task();
+    const std::size_t subsets = task.subset_latency().count(now, 8.0);
+    EXPECT_GT(subsets, 0u) << open_loop;
+    EXPECT_EQ(task.subset_latency().count(now, forever), subsets) << open_loop;
+    EXPECT_GT(task.throughput().rate(now, 8.0), 0.0) << open_loop;
   }
 }
 

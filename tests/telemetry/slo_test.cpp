@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <deque>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace capgpu::telemetry {
@@ -124,6 +128,108 @@ TEST(SloBurnMonitor, BudgetConsumedIsLifetime) {
 TEST(SloBurnMonitor, MissedExceedingCheckedThrows) {
   SloBurnMonitor m(test_config());
   EXPECT_THROW(m.record(1.0, 10, 11), InvalidArgument);
+}
+
+/// The burn rates by walking every retained sample, as the monitor once
+/// did: the oracle its running totals must match bit for bit.
+class BruteForceBurn {
+ public:
+  explicit BruteForceBurn(SloBurnConfig config) : config_(config) {}
+
+  void record(double now, std::uint64_t checked, std::uint64_t missed) {
+    samples_.push_back({now, checked, missed});
+    while (samples_.front().time <= now - config_.slow_window_s) {
+      samples_.pop_front();
+    }
+    fast_ = window_burn(now, config_.fast_window_s);
+    slow_ = window_burn(now, config_.slow_window_s);
+  }
+  [[nodiscard]] double fast() const { return fast_; }
+  [[nodiscard]] double slow() const { return slow_; }
+
+ private:
+  struct Sample {
+    double time;
+    std::uint64_t checked;
+    std::uint64_t missed;
+  };
+  [[nodiscard]] double window_burn(double now, double window_s) const {
+    std::uint64_t checked = 0;
+    std::uint64_t missed = 0;
+    for (auto it = samples_.rbegin(); it != samples_.rend(); ++it) {
+      if (it->time <= now - window_s) break;
+      checked += it->checked;
+      missed += it->missed;
+    }
+    if (checked == 0) return 0.0;
+    return static_cast<double>(missed) / static_cast<double>(checked) /
+           (1.0 - config_.objective);
+  }
+
+  SloBurnConfig config_;
+  std::deque<Sample> samples_;
+  double fast_{0.0};
+  double slow_{0.0};
+};
+
+TEST(SloBurnMonitor, RunningTotalsMatchAWalkOverTheWindow) {
+  SloBurnConfig equal = test_config();
+  equal.slow_window_s = equal.fast_window_s;
+  for (const SloBurnConfig& cfg : {test_config(), equal}) {
+    SloBurnMonitor m(cfg);
+    BruteForceBurn ref(cfg);
+    Rng rng(17);
+    double now = 0.0;
+    // Bursty miss rates so the alert fires and clears repeatedly; a third
+    // of the records repeat the previous timestamp, and empty periods
+    // (nothing checked) land in the windows too.
+    std::size_t fired = 0;
+    std::size_t cleared = 0;
+    bool alerting = false;
+    for (int k = 0; k < 2000; ++k) {
+      if (k == 0 || rng.uniform_index(3) != 0) {
+        now += 4.0 * static_cast<double>(1 + rng.uniform_index(8));
+      }
+      const std::uint64_t checked = rng.uniform_index(40);
+      const bool hot = (k / 150) % 2 == 1;
+      const std::uint64_t missed =
+          checked == 0 ? 0 : rng.uniform_index(hot ? checked + 1 : 2);
+      const Transition t = m.record(now, checked, missed);
+      ref.record(now, checked, missed);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(m.fast_burn()),
+                std::bit_cast<std::uint64_t>(ref.fast()))
+          << "record " << k;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(m.slow_burn()),
+                std::bit_cast<std::uint64_t>(ref.slow()))
+          << "record " << k;
+      // The transition the same thresholds give on the oracle's rates.
+      const double eps = 1e-9 * cfg.burn_threshold;
+      Transition expected = Transition::kNone;
+      if (!alerting && ref.fast() >= cfg.burn_threshold - eps &&
+          ref.slow() >= cfg.burn_threshold - eps) {
+        expected = Transition::kFired;
+        alerting = true;
+        ++fired;
+      } else if (alerting &&
+                 ref.fast() < cfg.burn_threshold * cfg.clear_fraction &&
+                 ref.slow() < cfg.burn_threshold * cfg.clear_fraction) {
+        expected = Transition::kCleared;
+        alerting = false;
+        ++cleared;
+      }
+      ASSERT_EQ(t, expected) << "record " << k;
+    }
+    EXPECT_GT(fired, 2u);
+    EXPECT_GT(cleared, 2u);
+    EXPECT_EQ(m.alerts_fired(), fired);
+  }
+}
+
+TEST(SloBurnMonitor, TimeGoingBackThrows) {
+  SloBurnMonitor m(test_config());
+  m.record(10.0, 100, 1);
+  m.record(10.0, 100, 1);  // a repeated timestamp is fine
+  EXPECT_THROW(m.record(9.0, 100, 1), InvalidArgument);
 }
 
 TEST(SloBurnMonitor, InvalidConfigThrows) {
